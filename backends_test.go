@@ -2,9 +2,13 @@ package repro_test
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"repro"
+	"repro/internal/ehdiall"
+	"repro/internal/engine"
+	"repro/internal/fitness"
 )
 
 func backendTestDataset(t *testing.T) *repro.Dataset {
@@ -67,19 +71,10 @@ func assertSameResult(t *testing.T, name string, want, got *repro.GAResult) {
 
 // TestBackendParity: a fixed seed must produce the identical result
 // under the native engine, the goroutine pool and the PVM simulation —
-// the backends differ only in speed, never in trajectory — and under
-// each backend the new Session.Run and the deprecated Run shim must be
-// bit-identical too.
+// the backends differ only in speed, never in trajectory.
 func TestBackendParity(t *testing.T) {
 	d := backendTestDataset(t)
 	cfg := backendTestConfig()
-	shimWith := func(b repro.Backend) *repro.GAResult {
-		res, err := repro.Run(d, cfg, repro.RunOptions{Slaves: 3, Backend: b}) //nolint:staticcheck // deprecated shim under test
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
 	sessionWith := func(b repro.Backend) *repro.GAResult {
 		s, err := repro.NewSession(d, repro.WithBackend(b), repro.WithWorkers(3))
 		if err != nil {
@@ -102,8 +97,48 @@ func TestBackendParity(t *testing.T) {
 		{"pool", repro.BackendPool},
 		{"pvm", repro.BackendPVM},
 	} {
-		assertSameResult(t, bc.name+"-session", native, sessionWith(bc.backend))
-		assertSameResult(t, bc.name+"-shim", native, shimWith(bc.backend))
+		assertSameResult(t, bc.name, native, sessionWith(bc.backend))
+	}
+}
+
+// TestKernelParityEndToEnd runs the same seeded GA job on a default
+// session (the packed 2-bit kernel) and on a session whose engine
+// wraps the byte reference pipeline, and requires deeply equal
+// results: the kernel must be invisible in every value a run reports.
+func TestKernelParityEndToEnd(t *testing.T) {
+	d, err := repro.Paper51Dataset(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := backendTestConfig()
+	cfg.MaxSize, cfg.Seed = 4, 9
+	run := func(opts ...repro.Option) *repro.GAResult {
+		s, err := repro.NewSession(d, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		res, err := s.Run(context.Background(), repro.WithGAConfig(cfg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	packed := run(repro.WithStatistic(repro.T4))
+
+	ref, err := fitness.NewPipelineKernel(d, repro.T4, ehdiall.Config{}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := engine.New(ref, engine.Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	byteRef := run(repro.WithEvaluator(eng), repro.WithStatistic(repro.T4))
+
+	if !reflect.DeepEqual(packed, byteRef) {
+		t.Fatalf("kernel changed the run's result:\npacked %+v\n  byte %+v", packed, byteRef)
 	}
 }
 
@@ -117,7 +152,12 @@ func TestEngineCacheHitRateDuringRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	res, err := repro.RunWith(eng, d.NumSNPs(), backendTestConfig())
+	s, err := repro.NewSession(d, repro.WithEvaluator(eng))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	res, err := s.Run(context.Background(), repro.WithGAConfig(backendTestConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -90,7 +90,7 @@ func Dedupe(batch [][]int) (unique [][]int, index []int) {
 	index = make([]int, len(batch))
 	pos := make(map[string]int, len(batch))
 	for i, sites := range batch {
-		k := siteKey(sites)
+		k := SiteKey(sites)
 		j, ok := pos[k]
 		if !ok {
 			j = len(unique)
@@ -133,7 +133,7 @@ func (c *Cache) EvaluateBatchContext(ctx context.Context, batch [][]int) ([]floa
 	var missSites [][]int
 	c.mu.RLock()
 	for i, sites := range batch {
-		if v, ok := c.m[siteKey(sites)]; ok {
+		if v, ok := c.m[SiteKey(sites)]; ok {
 			values[i] = v
 			c.hits.Add(1)
 		} else {
@@ -153,7 +153,7 @@ func (c *Cache) EvaluateBatchContext(ctx context.Context, batch [][]int) ([]floa
 			continue
 		}
 		values[i] = mv[j]
-		c.m[siteKey(missSites[j])] = mv[j]
+		c.m[SiteKey(missSites[j])] = mv[j]
 	}
 	c.mu.Unlock()
 	return values, errs

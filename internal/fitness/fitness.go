@@ -72,17 +72,17 @@ type Pipeline struct {
 // Unknown status are ignored, as in the paper's study. The statistic
 // selects which CLUMP value is the fitness (the paper uses the raw
 // chi-square T1 by default). Evaluation runs on the packed 2-bit
-// kernel; use NewPipelineKernel to select the byte reference kernel
-// for A/B comparisons.
+// kernel.
 func NewPipeline(d *genotype.Dataset, stat clump.Statistic, em ehdiall.Config) (*Pipeline, error) {
 	return NewPipelineKernel(d, stat, em, true)
 }
 
 // NewPipelineKernel is NewPipeline with an explicit kernel choice:
-// packed selects the 2-bit popcount kernel (the default elsewhere),
-// false the byte-per-genotype reference implementation. The two
-// produce bit-identical fitness values; the byte path exists as the
-// differential-testing reference and for A/B performance runs.
+// packed selects the 2-bit popcount kernel, false the
+// byte-per-genotype reference implementation. The two produce
+// bit-identical fitness values. The byte path is the oracle of the
+// differential tests and the benchmark's output checks; no production
+// constructor selects it.
 func NewPipelineKernel(d *genotype.Dataset, stat clump.Statistic, em ehdiall.Config, packed bool) (*Pipeline, error) {
 	if d == nil {
 		return nil, fmt.Errorf("fitness: nil dataset")
@@ -103,10 +103,6 @@ func NewPipelineKernel(d *genotype.Dataset, stat clump.Statistic, em ehdiall.Con
 	}
 	return p, nil
 }
-
-// PackedKernel reports whether the pipeline evaluates on the packed
-// 2-bit kernel (true) or the byte reference kernel (false).
-func (p *Pipeline) PackedKernel() bool { return p.packed != nil }
 
 // NumSNPs returns the number of SNP columns available to haplotypes.
 func (p *Pipeline) NumSNPs() int { return p.data.NumSNPs() }
@@ -258,18 +254,6 @@ func (p *Pipeline) MonteCarloP(sites []int, replicates int, src *rng.RNG) (clump
 	return clump.MonteCarlo{Replicates: replicates, Source: src}.Run(table)
 }
 
-// Score runs the tail of the Figure 3 pipeline shared by every
-// evaluator front-end (the monolithic Pipeline and the shard-aware
-// evaluator): concatenate the two per-group EH-DIALL estimations into
-// the 2 x 2^k contingency table and return the selected CLUMP
-// statistic. Keeping this in one place is what makes the sharded path
-// bit-identical to the monolithic one — both feed the same estimations
-// through the same arithmetic.
-func Score(aff, un *ehdiall.Result, stat clump.Statistic) (float64, error) {
-	var s Scratch
-	return s.Score(aff, un, stat)
-}
-
 // ConcatTable performs the paper's "Concatenation" step: the expected
 // haplotype counts of the affected group become row 0 and those of the
 // unaffected group row 1 of a 2 x 2^k table.
@@ -325,9 +309,11 @@ func NewCache(inner Evaluator) *Cache {
 	return &Cache{inner: inner, m: make(map[string]float64)}
 }
 
-func siteKey(sites []int) string {
-	// Four bytes per site: enough for the >10^5-SNP studies the
-	// roadmap targets, where two bytes would silently alias columns.
+// SiteKey encodes a SNP set as a map key, four big-endian bytes per
+// site in the given order: enough for >10^5-SNP studies, where two
+// bytes would silently alias columns. Sets are compared positionally,
+// so callers pass canonical (strictly increasing) sites.
+func SiteKey(sites []int) string {
 	b := make([]byte, 4*len(sites))
 	for i, s := range sites {
 		b[4*i] = byte(s >> 24)
@@ -340,7 +326,7 @@ func siteKey(sites []int) string {
 
 // Evaluate returns the memoized value when available.
 func (c *Cache) Evaluate(sites []int) (float64, error) {
-	key := siteKey(sites)
+	key := SiteKey(sites)
 	c.mu.RLock()
 	v, ok := c.m[key]
 	c.mu.RUnlock()

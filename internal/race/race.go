@@ -352,7 +352,8 @@ func (r *Race) finishLocked() {
 }
 
 // record books one successful evaluation of lane l and applies the
-// cancellation policy.
+// cancellation policy. sites is canonical and owned by the call; key
+// is its fitness.SiteKey.
 func (r *Race) record(l *lane, key string, sites []int, v float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -371,7 +372,7 @@ func (r *Race) record(l *lane, key string, sites []int, v float64) {
 	}
 	if v > l.best {
 		l.best = v
-		l.bestSites = sortedCopy(sites)
+		l.bestSites = sites
 		l.lastImprove = l.evals
 	}
 	r.applyPolicyLocked()
@@ -563,26 +564,10 @@ func (m *meter) Evaluate(sites []int) (float64, error) {
 		}
 		return 0, err
 	}
-	m.r.record(m.l, siteKey(sites), sites, v)
+	// The shared-cache key and the lane's best are the canonical
+	// (sorted) form of the set; record keeps this copy.
+	canon := append([]int(nil), sites...)
+	sort.Ints(canon)
+	m.r.record(m.l, fitness.SiteKey(canon), canon, v)
 	return v, nil
-}
-
-func sortedCopy(sites []int) []int {
-	out := append([]int(nil), sites...)
-	sort.Ints(out)
-	return out
-}
-
-// siteKey canonicalizes a SNP set to a map key (sorted, 4 bytes per
-// site), matching the canonical form the engine's memo cache uses.
-func siteKey(sites []int) string {
-	s := sortedCopy(sites)
-	buf := make([]byte, 4*len(s))
-	for i, v := range s {
-		buf[4*i] = byte(v)
-		buf[4*i+1] = byte(v >> 8)
-		buf[4*i+2] = byte(v >> 16)
-		buf[4*i+3] = byte(v >> 24)
-	}
-	return string(buf)
 }

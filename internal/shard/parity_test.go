@@ -32,11 +32,11 @@ func windowsUpTo(n int) [][]int {
 }
 
 // TestEvaluatorParity proves the headline invariant: the sharded
-// evaluator returns bit-identical values to fitness.Pipeline for every
-// statistic (including AA), over both in-memory and spill-backed
-// sources and on both counting kernels — the packed 2-bit default and
-// the byte reference — including the boundary-spanning site sets of
-// windowsUpTo.
+// evaluator returns bit-identical values to the monolithic
+// fitness.Pipeline on both counting kernels — the packed 2-bit default
+// and the byte reference — for every statistic (including AA), over
+// both in-memory and spill-backed sources, including the
+// boundary-spanning site sets of windowsUpTo.
 func TestEvaluatorParity(t *testing.T) {
 	d := testDataset(t, 51)
 	sources := map[string]func() (Source, error){
@@ -45,22 +45,19 @@ func TestEvaluatorParity(t *testing.T) {
 	}
 	kernels := map[string]bool{"packed": true, "byte": false}
 	for _, stat := range clump.All() {
-		pipe, err := fitness.NewPipeline(d, stat, ehdiall.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
 		for name, mk := range sources {
+			src, err := mk()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ev, err := NewEvaluator(src, d, stat, ehdiall.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
 			for kname, packed := range kernels {
-				src, err := mk()
+				pipe, err := fitness.NewPipelineKernel(d, stat, ehdiall.Config{}, packed)
 				if err != nil {
 					t.Fatal(err)
-				}
-				ev, err := NewEvaluatorKernel(src, d, stat, ehdiall.Config{}, packed)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if ev.PackedKernel() != packed {
-					t.Fatalf("%s/%s: PackedKernel() = %v", name, kname, ev.PackedKernel())
 				}
 				for _, w := range windowsUpTo(51) {
 					want, werr := pipe.Evaluate(w)
@@ -72,8 +69,8 @@ func TestEvaluatorParity(t *testing.T) {
 						t.Fatalf("%s/%s/%v sites %v: sharded %v != monolithic %v", name, kname, stat, w, got, want)
 					}
 				}
-				src.Close()
 			}
+			src.Close()
 		}
 	}
 }

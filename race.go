@@ -283,9 +283,6 @@ func (s *Session) evaluatorFor(stat Statistic) (Evaluator, error) {
 	if stat == s.stat {
 		return s.eval, nil
 	}
-	if s.data == nil {
-		return nil, fmt.Errorf("%w: session has no dataset; only its own statistic %v can race", ErrBadConfig, s.stat)
-	}
 	workers := s.Workers()
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -295,7 +292,7 @@ func (s *Session) evaluatorFor(stat Statistic) (Evaluator, error) {
 	if ev, ok := s.raceEvals[stat]; ok {
 		return ev, nil
 	}
-	eng, err := NewEngineKernel(s.data, stat, workers, s.packed)
+	eng, err := NewEngine(s.data, stat, workers)
 	if err != nil {
 		return nil, err
 	}

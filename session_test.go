@@ -333,30 +333,10 @@ func TestClosedSessionRejectsRuns(t *testing.T) {
 	}
 }
 
-// TestStatisticZeroShimBehavior: the deprecated RunOptions zero value
-// selects DefaultStatistic, matching an explicit WithStatistic(T1)
-// session bit for bit.
-func TestStatisticZeroShimBehavior(t *testing.T) {
-	d := backendTestDataset(t)
-	cfg := backendTestConfig()
-
-	shim, err := repro.Run(d, cfg, repro.RunOptions{}) //nolint:staticcheck // deprecated shim under test
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := repro.NewSession(d, repro.WithStatistic(repro.T1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	explicit, err := s.Run(context.Background(), repro.WithGAConfig(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameResult(t, "shim-default-vs-explicit-T1", explicit, shim)
-}
-
-func TestRunWithShimOverSession(t *testing.T) {
+// TestWithEvaluatorSession: a session over a caller-owned engine runs
+// the GA through it and leaves it open on Close; WithStatistic may
+// accompany WithEvaluator as a declaration, WithWorkers may not.
+func TestWithEvaluatorSession(t *testing.T) {
 	d := backendTestDataset(t)
 	cfg := backendTestConfig()
 	eng, err := repro.NewEngine(d, repro.T1, 2)
@@ -364,27 +344,22 @@ func TestRunWithShimOverSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	viaShim, err := repro.RunWith(eng, d.NumSNPs(), cfg) //nolint:staticcheck // deprecated shim under test
-	if err != nil {
-		t.Fatal(err)
-	}
 	s, err := repro.NewSession(d, repro.WithEvaluator(eng))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A WithEvaluator session does not close the caller's engine.
-	defer s.Close()
-	viaSession, err := s.Run(context.Background(), repro.WithGAConfig(cfg))
+	res, err := s.Run(context.Background(), repro.WithGAConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameResult(t, "runwith-vs-withevaluator", viaSession, viaShim)
+	if rep := eng.Report(); rep.Requests == 0 || rep.Requests > res.TotalEvaluations {
+		t.Fatalf("engine saw %d requests for a run of %d evaluations", rep.Requests, res.TotalEvaluations)
+	}
+	s.Close()
 	if _, err := eng.Evaluate([]int{0, 1}); err != nil {
 		t.Fatalf("session Close closed the caller-owned engine: %v", err)
 	}
 
-	// WithStatistic may accompany WithEvaluator as a declaration;
-	// WithBackend/WithWorkers may not.
 	s2, err := repro.NewSession(d, repro.WithEvaluator(eng), repro.WithStatistic(repro.T1))
 	if err != nil {
 		t.Fatalf("WithStatistic alongside WithEvaluator: %v", err)

@@ -150,10 +150,14 @@ func Estimate(patterns [][]genotype.Genotype, k int, cfg Config) (*Result, error
 		return nil, ErrNoData
 	}
 
-	// H0 marginal allele-2 frequencies from the grouped patterns. The
-	// per-site accumulators only ever add whole numbers, so the sums
-	// are exact integers below 2^53 and the division matches the
-	// packed path's integer-tally division bit for bit.
+	return estimateCore(groups, n, k, groupMarginals(groups, n, k), cfg, nil), nil
+}
+
+// groupMarginals returns the H0 marginal allele-2 frequencies of the
+// grouped patterns. The per-site accumulators only ever add whole
+// numbers, so the sums are exact integers below 2^53 and the division
+// matches the packed path's integer-tally division bit for bit.
+func groupMarginals(groups []patternGroup, n, k int) []float64 {
 	p2 := make([]float64, k)
 	for _, g := range groups {
 		for j := 0; j < k; j++ {
@@ -169,7 +173,7 @@ func Estimate(patterns [][]genotype.Genotype, k int, cfg Config) (*Result, error
 	for j := range p2 {
 		p2[j] /= 2 * float64(n)
 	}
-	return estimateCore(groups, n, k, p2, cfg, nil), nil
+	return p2
 }
 
 // estimateCore is the single copy of the estimation arithmetic shared
@@ -184,19 +188,21 @@ func Estimate(patterns [][]genotype.Genotype, k int, cfg Config) (*Result, error
 func estimateCore(groups []patternGroup, n, k int, p2 []float64, cfg Config, scr *Scratch) *Result {
 	size := 1 << k
 	var res *Result
-	var nullFreqs, freqs, counts []float64
+	var nullFreqs, freqs, counts, prod []float64
 	if scr != nil {
 		scr.res = Result{K: k, N: n}
 		res = &scr.res
 		scr.nullFreqs = growFloats(scr.nullFreqs, size)
 		scr.freqs = growFloats(scr.freqs, size)
 		scr.counts = growFloats(scr.counts, size)
-		nullFreqs, freqs, counts = scr.nullFreqs, scr.freqs, scr.counts
+		scr.prod = growFloats(scr.prod, size/2)
+		nullFreqs, freqs, counts, prod = scr.nullFreqs, scr.freqs, scr.counts, scr.prod
 	} else {
 		res = &Result{K: k, N: n}
 		nullFreqs = make([]float64, size)
 		freqs = make([]float64, size)
 		counts = make([]float64, size)
+		prod = make([]float64, size/2)
 	}
 
 	// H0: product of single-site allele-2 frequencies.
@@ -212,7 +218,7 @@ func estimateCore(groups []patternGroup, n, k int, p2 []float64, cfg Config, scr
 		nullFreqs[h] = f
 	}
 	res.NullFreqs = nullFreqs
-	res.NullLogLik = logLik(groups, nullFreqs)
+	res.NullLogLik = logLik(groups, nullFreqs, prod)
 
 	// EM from the H0 point: monotone ascent makes LL1 >= LL0, hence
 	// LRT >= 0, the invariant the GA's fitness relies on.
@@ -222,7 +228,7 @@ func estimateCore(groups []patternGroup, n, k int, p2 []float64, cfg Config, scr
 			counts[i] = 0
 		}
 		for _, g := range groups {
-			expectStep(g, freqs, counts)
+			expectStep(g, freqs, counts, prod)
 		}
 		delta := 0.0
 		inv := 1 / (2 * float64(n))
@@ -238,7 +244,7 @@ func estimateCore(groups []patternGroup, n, k int, p2 []float64, cfg Config, scr
 		}
 	}
 	res.Freqs = freqs
-	res.LogLik = logLik(groups, freqs)
+	res.LogLik = logLik(groups, freqs, prod)
 	return res
 }
 
@@ -292,63 +298,79 @@ func groupPatterns(patterns [][]genotype.Genotype, k int) ([]patternGroup, int, 
 	return groups, n, nil
 }
 
+// Phase pairs. A pattern with m > 0 heterozygous sites is compatible
+// with 2^(m-1) unordered haplotype pairs {base|s, base|(hets^s)}.
+// Exactly one end of each pair lacks the top heterozygous bit, so
+// walking the subsets s of lowHets(hets) from the largest down to 0
+// visits every unordered pair once, with the top-less end first. A
+// homozygous pattern (hets == 0) walks its single pair {base, base}.
+// Every pair loop in this package uses this walk and this order.
+
+// lowHets returns hets without its highest set bit (0 for hets == 0).
+func lowHets(hets uint32) uint32 {
+	return hets &^ (1 << bits.Len32(hets) >> 1)
+}
+
+// pairProducts writes f(h1)*f(h2) for each unordered compatible pair
+// of g's pattern into prod, in walk order, and returns their sum and
+// count. prod must hold 2^(m-1) entries for m heterozygous sites.
+func pairProducts(g patternGroup, f, prod []float64) (sum float64, n int) {
+	low := lowHets(g.hets)
+	for s := low; ; s = (s - 1) & low {
+		p := f[g.base|s] * f[g.base|(g.hets^s)]
+		prod[n] = p
+		sum += p
+		n++
+		if s == 0 {
+			return sum, n
+		}
+	}
+}
+
 // patternProb returns the HWE probability of the genotype pattern
-// under haplotype frequencies f: the sum of f(h1)*f(h2) over all
-// ordered compatible pairs (which double-counts heterozygote pairs,
-// exactly the HWE 2*f1*f2 factor).
-func patternProb(g patternGroup, f []float64) float64 {
+// under haplotype frequencies f: f(h)^2 for a homozygous pattern,
+// otherwise twice the sum of f(h1)*f(h2) over the unordered compatible
+// pairs (the HWE 2*f1*f2 factor of a heterozygous pair). prod is
+// pairProducts' buffer.
+func patternProb(g patternGroup, f, prod []float64) float64 {
 	if g.hets == 0 {
 		v := f[g.base]
 		return v * v
 	}
-	p := 0.0
-	// Enumerate all subsets s of the heterozygous mask, pairing
-	// haplotype base|s with base|(hets^s).
-	s := g.hets
-	for {
-		p += f[g.base|s] * f[g.base|(g.hets^s)]
-		if s == 0 {
-			break
-		}
-		s = (s - 1) & g.hets
-	}
-	return p
+	sum, _ := pairProducts(g, f, prod)
+	return 2 * sum
 }
 
 // expectStep adds the pattern group's expected haplotype copy counts
-// to counts, given current frequencies.
-func expectStep(g patternGroup, f, counts []float64) {
+// to counts, given current frequencies: each unordered pair receives
+// count * f(h1)*f(h2) / sum on both ends, so the group adds 2*count
+// in total. prod is pairProducts' buffer.
+func expectStep(g patternGroup, f, counts, prod []float64) {
 	if g.hets == 0 {
 		counts[g.base] += 2 * g.count
 		return
 	}
-	total := patternProb(g, f)
+	total, n := pairProducts(g, f, prod)
 	if total <= 0 {
 		// All compatible pairs currently have zero frequency; spread
 		// uniformly so the EM can recover (matches EH behaviour on
 		// empty cells).
-		pairs := float64(uint32(1) << bits.OnesCount32(g.hets))
-		w := g.count / pairs
-		s := g.hets
-		for {
-			counts[g.base|s] += w
-			counts[g.base|(g.hets^s)] += w
-			if s == 0 {
-				break
-			}
-			s = (s - 1) & g.hets
+		for i := range prod[:n] {
+			prod[i] = 1
 		}
-		return
+		total = float64(n)
 	}
-	s := g.hets
-	for {
-		w := g.count * f[g.base|s] * f[g.base|(g.hets^s)] / total
+	scale := g.count / total
+	low := lowHets(g.hets)
+	i := 0
+	for s := low; ; s = (s - 1) & low {
+		w := prod[i] * scale
 		counts[g.base|s] += w
 		counts[g.base|(g.hets^s)] += w
+		i++
 		if s == 0 {
-			break
+			return
 		}
-		s = (s - 1) & g.hets
 	}
 }
 
@@ -356,10 +378,10 @@ func expectStep(g patternGroup, f, counts []float64) {
 // under haplotype frequencies f. Patterns with zero probability
 // contribute a large negative penalty instead of -Inf so that
 // comparisons stay ordered.
-func logLik(groups []patternGroup, f []float64) float64 {
+func logLik(groups []patternGroup, f, prod []float64) float64 {
 	ll := 0.0
 	for _, g := range groups {
-		p := patternProb(g, f)
+		p := patternProb(g, f, prod)
 		if p <= 0 {
 			ll += g.count * -745 // ~log of smallest positive float64
 			continue

@@ -34,7 +34,9 @@ type Scratch struct {
 	count2 [MaxSNPs]int
 
 	nullFreqs, freqs, counts []float64
-	res                      Result
+	// prod holds one group's unordered pair products (pairProducts).
+	prod []float64
+	res  Result
 }
 
 // EstimatePacked runs the EM over the rows selected by mask on the

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/genotype"
+	"repro/internal/popgen"
 )
 
 // parityDataset builds a random dataset whose columns exercise the
@@ -143,3 +144,60 @@ func TestEstimatePackedValidation(t *testing.T) {
 		t.Fatal("column/mask row mismatch accepted")
 	}
 }
+
+// paper51Columns returns the packed columns of the first k planted
+// risk sites of the paper's 51-SNP study and the affected-row mask:
+// one status group of the production fitness evaluation.
+func paper51Columns(tb testing.TB, k int) ([]genotype.PackedColumn, genotype.PlaneMask) {
+	tb.Helper()
+	d, err := popgen.Generate(popgen.Paper51(42))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	packed := genotype.PackDataset(d)
+	cols := make([]genotype.PackedColumn, k)
+	for i, s := range popgen.PaperCausalSites[:k] {
+		cols[i] = packed.Col(s)
+	}
+	return cols, genotype.NewPlaneMask(packed.NumRows(), d.ByStatus(genotype.Affected))
+}
+
+// TestEstimatePackedAllocFree: with a warm Scratch, EstimatePacked
+// reuses every buffer, the pair-product buffer included.
+func TestEstimatePackedAllocFree(t *testing.T) {
+	cols, mask := paper51Columns(t, 6)
+	var scr Scratch
+	if _, err := EstimatePacked(cols, mask, Config{}, &scr); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := EstimatePacked(cols, mask, Config{}, &scr); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("EstimatePacked with a warm scratch: %v allocs per call, want 0", allocs)
+	}
+}
+
+// The production estimation path: packed columns, a warm Scratch.
+func benchmarkEstimatePackedK(b *testing.B, k int) {
+	cols, mask := paper51Columns(b, k)
+	var scr Scratch
+	res, err := EstimatePacked(cols, mask, Config{}, &scr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	iters := res.Iterations
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := EstimatePacked(cols, mask, Config{}, &scr); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(iters), "iters/op")
+}
+
+func BenchmarkEstimatePackedK2(b *testing.B) { benchmarkEstimatePackedK(b, 2) }
+func BenchmarkEstimatePackedK4(b *testing.B) { benchmarkEstimatePackedK(b, 4) }
+func BenchmarkEstimatePackedK6(b *testing.B) { benchmarkEstimatePackedK(b, 6) }

@@ -42,54 +42,34 @@ func (r *Result) Phase(patterns [][]genotype.Genotype) ([]PhasedPair, error) {
 				return nil, fmt.Errorf("ehdiall: pattern %d has invalid genotype %d at site %d", i, g, j)
 			}
 		}
-		g := patternGroup{base: base, hets: hets, count: 1}
-		total := patternProb(g, r.Freqs)
-		bestW := -1.0
+		// One pass over the unordered pairs: the posterior of the best
+		// pair is its product over the sum of all pair products. h1
+		// lacks the top heterozygous bit and h2 has it, so h1 <= h2.
+		// The walk ends at s = 0, so >= gives ties to the smallest h1.
+		low := lowHets(hets)
+		total, bestW, pairs := 0.0, -1.0, 0
 		var best PhasedPair
-		s := hets
-		for {
-			h1 := base | s
-			h2 := base | (hets ^ s)
+		for s := low; ; s = (s - 1) & low {
+			h1, h2 := base|s, base|(hets^s)
 			w := r.Freqs[h1] * r.Freqs[h2]
-			if w > bestW {
-				if h1 > h2 {
-					h1, h2 = h2, h1
-				}
+			total += w
+			pairs++
+			if w >= bestW {
 				best = PhasedPair{H1: h1, H2: h2}
 				bestW = w
 			}
 			if s == 0 {
 				break
 			}
-			s = (s - 1) & hets
 		}
 		if total > 0 {
-			// Unordered-pair posterior: heterozygous pairs appear
-			// twice in the ordered-pair sum.
-			mult := 1.0
-			if best.H1 != best.H2 {
-				mult = 2
-			}
-			best.Posterior = mult * bestW / total
+			best.Posterior = bestW / total
 		} else {
 			// No compatible pair has positive frequency; fall back to
 			// a uniform posterior over the compatible pairs.
-			pairs := 1 << popcount(hets)
-			if hets != 0 {
-				pairs /= 2
-			}
 			best.Posterior = 1 / float64(pairs)
 		}
 		out[i] = best
 	}
 	return out, nil
-}
-
-func popcount(x uint32) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
 }

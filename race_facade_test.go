@@ -206,11 +206,17 @@ func TestRaceCheaperThanSequential(t *testing.T) {
 
 // TestRaceStagnationCancelsTrailingLane: under a stagnation policy the
 // trailing lane ends canceled_by_race with its partial best preserved,
-// while the leader finishes and wins.
+// while the leader finishes and wins. Both lanes search pairs, and the
+// grace period outlasts the exhaustive lane's 91 evaluations, so the
+// outcome does not depend on how the lanes interleave: the exhaustive
+// lane always finishes with the best pair, which the GA can at most
+// tie, and the GA then trails (ties go to the lane with fewer
+// evaluations) until it stalls and is cut.
 func TestRaceStagnationCancelsTrailingLane(t *testing.T) {
 	testleak.Check(t)
 	d := backendTestDataset(t)
 	cfg := raceTestConfig(3)
+	cfg.MaxSize = 2
 	cfg.StagnationLimit = 1000
 	cfg.MaxGenerations = 2000
 
@@ -227,7 +233,7 @@ func TestRaceStagnationCancelsTrailingLane(t *testing.T) {
 		SubsetSize: 2,
 		Config:     &cfg,
 		Stagnation: 30,
-		Grace:      20,
+		Grace:      100,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -12,7 +12,9 @@
 // Hardy-Weinberg pairing. Likelihoods are computed with allelic
 // association (hypothesis H1, the EM solution) and without (hypothesis
 // H0, products of single-site allele frequencies), exactly as EH-DIALL
-// reports them.
+// reports them. The EM iterations are accelerated with SQUAREM
+// (Varadhan & Roland 2008): squared extrapolation along the last two
+// EM steps, kept only when it does not lose likelihood.
 //
 // The per-individual phase expansion is 2^(heterozygous sites) and the
 // haplotype table is 2^k, which is the genuine source of the paper's
@@ -37,9 +39,10 @@ const MaxSNPs = 20
 // Config tunes the EM iteration. The zero value selects defaults.
 type Config struct {
 	// Tol is the convergence threshold on the L1 change of the
-	// frequency vector between iterations (default 1e-9).
+	// frequency vector across one E+M map evaluation (default 1e-9).
 	Tol float64
-	// MaxIter bounds EM iterations (default 500).
+	// MaxIter bounds the E+M map evaluations of the accelerated EM,
+	// extrapolation-stabilising ones included (default 500).
 	MaxIter int
 }
 
@@ -70,15 +73,19 @@ type Result struct {
 	// two hypotheses.
 	LogLik     float64
 	NullLogLik float64
-	// Iterations is the number of EM iterations performed; Converged
-	// reports whether the tolerance was met within MaxIter.
+	// Iterations is the number of E+M map evaluations performed;
+	// Converged reports whether one of them, within MaxIter, moved
+	// the frequencies by less than Tol — Freqs is then that
+	// evaluation's output.
 	Iterations int
 	Converged  bool
 }
 
 // LRT returns the likelihood-ratio test statistic 2(LL1 - LL0). It is
-// non-negative because the EM starts from the H0 frequencies and
-// monotonically increases the likelihood.
+// non-negative because the EM starts from the H0 frequencies, plain EM
+// steps never decrease the likelihood, and an extrapolated point is
+// kept only if its likelihood reaches the safeguard's baseline, which
+// starts at LL0.
 func (r *Result) LRT() float64 {
 	v := 2 * (r.LogLik - r.NullLogLik)
 	if v < 0 {
@@ -150,7 +157,7 @@ func Estimate(patterns [][]genotype.Genotype, k int, cfg Config) (*Result, error
 		return nil, ErrNoData
 	}
 
-	return estimateCore(groups, n, k, groupMarginals(groups, n, k), cfg, nil), nil
+	return estimateCore(groups, n, k, groupMarginals(groups, n, k), cfg, &Scratch{}), nil
 }
 
 // groupMarginals returns the H0 marginal allele-2 frequencies of the
@@ -178,32 +185,41 @@ func groupMarginals(groups []patternGroup, n, k int) []float64 {
 
 // estimateCore is the single copy of the estimation arithmetic shared
 // by the byte path (Estimate) and the packed path (EstimatePacked):
-// H0 product frequencies, null log-likelihood, the EM ascent and the
-// H1 log-likelihood. Both front-ends produce identical groups in
-// identical order and identical p2 marginals, so sharing this code is
-// what makes their Results bit-identical. With a nil scratch every
-// buffer (and the Result) is freshly allocated; with a scratch the
-// Result and its slices alias scratch storage and stay valid only
-// until the scratch's next use.
+// H0 product frequencies, null log-likelihood, the accelerated EM
+// ascent and the H1 log-likelihood. Both front-ends produce identical
+// groups in identical order and identical p2 marginals, so sharing
+// this code is what makes their Results bit-identical. The Result and
+// its slices alias scr's storage and stay valid only until its next
+// use.
+//
+// The ascent is SQUAREM (Varadhan & Roland 2008, scheme SqS3) over the
+// EM map F. One cycle from the current point x evaluates x1 = F(x) and
+// x2 = F(x1), takes r = x1-x and v = x2-x1-r, and extrapolates
+// xp = x - 2αr + α²v with α = -‖r‖/‖v‖ clamped to [-stepMax, -1]
+// (α = -1 gives xp = x2, a plain EM step). A negative xp is rejected;
+// otherwise xp is renormalised and stabilised by x3 = F(xp), which is
+// accepted only if LL(xp) — taken from that E-step's own pattern
+// probabilities — is at least the baseline: NullLogLik at first, then
+// the LL(xp) of the last accepted cycle. A rejection discards x3 and
+// continues from x2. Plain EM steps never lose likelihood and an
+// accepted x3 has at least LL(xp), so no point the ascent moves to
+// falls below H0: LL1 >= LL0 holds by construction. stepMax starts at
+// 1, grows fourfold after an accepted step that hit it and shrinks
+// fourfold (floor 1) after a rejection. Every map evaluation counts
+// against MaxIter, and the ascent stops at the first kept evaluation
+// that moves the frequencies by less than Tol (L1), returning its
+// output — exactly the plain EM's convergence test.
 func estimateCore(groups []patternGroup, n, k int, p2 []float64, cfg Config, scr *Scratch) *Result {
 	size := 1 << k
-	var res *Result
-	var nullFreqs, freqs, counts, prod []float64
-	if scr != nil {
-		scr.res = Result{K: k, N: n}
-		res = &scr.res
-		scr.nullFreqs = growFloats(scr.nullFreqs, size)
-		scr.freqs = growFloats(scr.freqs, size)
-		scr.counts = growFloats(scr.counts, size)
-		scr.prod = growFloats(scr.prod, size/2)
-		nullFreqs, freqs, counts, prod = scr.nullFreqs, scr.freqs, scr.counts, scr.prod
-	} else {
-		res = &Result{K: k, N: n}
-		nullFreqs = make([]float64, size)
-		freqs = make([]float64, size)
-		counts = make([]float64, size)
-		prod = make([]float64, size/2)
+	scr.res = Result{K: k, N: n}
+	res := &scr.res
+	scr.nullFreqs = growFloats(scr.nullFreqs, size)
+	for i := range scr.em {
+		scr.em[i] = growFloats(scr.em[i], size)
 	}
+	scr.prod = growFloats(scr.prod, size/2)
+	nullFreqs, prod := scr.nullFreqs, scr.prod
+	x, x1, x2, xp := scr.em[0], scr.em[1], scr.em[2], scr.em[3]
 
 	// H0: product of single-site allele-2 frequencies.
 	for h := 0; h < size; h++ {
@@ -220,32 +236,106 @@ func estimateCore(groups []patternGroup, n, k int, p2 []float64, cfg Config, scr
 	res.NullFreqs = nullFreqs
 	res.NullLogLik = logLik(groups, nullFreqs, prod)
 
-	// EM from the H0 point: monotone ascent makes LL1 >= LL0, hence
-	// LRT >= 0, the invariant the GA's fitness relies on.
-	copy(freqs, nullFreqs)
-	for iter := 1; iter <= cfg.MaxIter; iter++ {
-		for i := range counts {
-			counts[i] = 0
+	copy(x, nullFreqs)
+	baseline, stepMax := res.NullLogLik, 1.0
+	for res.Iterations < cfg.MaxIter {
+		res.Iterations++
+		if d, _ := emMap(groups, n, x, x1, prod, false); d < cfg.Tol || res.Iterations == cfg.MaxIter {
+			res.Converged = d < cfg.Tol
+			x, x1 = x1, x
+			break
 		}
-		for _, g := range groups {
-			expectStep(g, freqs, counts, prod)
+		res.Iterations++
+		if d, _ := emMap(groups, n, x1, x2, prod, false); d < cfg.Tol || res.Iterations == cfg.MaxIter {
+			res.Converged = d < cfg.Tol
+			x, x2 = x2, x
+			break
 		}
-		delta := 0.0
-		inv := 1 / (2 * float64(n))
-		for i := range freqs {
-			nf := counts[i] * inv
-			delta += math.Abs(nf - freqs[i])
-			freqs[i] = nf
+		alpha, ok := extrapolate(x, x1, x2, xp, stepMax)
+		if !ok {
+			x, x2 = x2, x
+			stepMax = math.Max(1, stepMax/4)
+			continue
 		}
-		res.Iterations = iter
-		if delta < cfg.Tol {
+		// Stabilise: x3 = F(xp) goes to x1, which is free again.
+		res.Iterations++
+		d, ll := emMap(groups, n, xp, x1, prod, true)
+		if ll < baseline {
+			x, x2 = x2, x
+			stepMax = math.Max(1, stepMax/4)
+			continue
+		}
+		baseline = ll
+		if alpha == -stepMax {
+			stepMax *= 4
+		}
+		x, x1 = x1, x
+		if d < cfg.Tol {
 			res.Converged = true
 			break
 		}
 	}
-	res.Freqs = freqs
-	res.LogLik = logLik(groups, freqs, prod)
+	res.Freqs = x
+	res.LogLik = logLik(groups, x, prod)
 	return res
+}
+
+// emMap applies the EM map once: the E-step distributes every group
+// over its phase pairs under the frequencies in, and the M-step
+// writes the re-estimated frequencies to out. It returns their L1
+// distance from in and, with wantLL, the log-likelihood of in, summed
+// from the E-step's own pattern probabilities exactly as logLik sums
+// them.
+func emMap(groups []patternGroup, n int, in, out, prod []float64, wantLL bool) (delta, ll float64) {
+	for i := range out {
+		out[i] = 0
+	}
+	for _, g := range groups {
+		p := expectStep(g, in, out, prod)
+		if wantLL {
+			ll += groupLogLik(g, p)
+		}
+	}
+	inv := 1 / (2 * float64(n))
+	for i, c := range out {
+		out[i] = c * inv
+		delta += math.Abs(out[i] - in[i])
+	}
+	return delta, ll
+}
+
+// extrapolate writes the SQUAREM point xp = x - 2αr + α²v of one cycle
+// (x1 = F(x), x2 = F(x1), r = x1-x, v = x2-x1-r), with the SqS3 step
+// α = -‖r‖/‖v‖ clamped to [-stepMax, -1], renormalised to sum to one.
+// It returns α, and false when an entry of xp is negative.
+func extrapolate(x, x1, x2, xp []float64, stepMax float64) (alpha float64, ok bool) {
+	var rr, vv float64
+	for i := range x {
+		r := x1[i] - x[i]
+		v := x2[i] - x1[i] - r
+		rr += r * r
+		vv += v * v
+	}
+	alpha = -stepMax
+	if vv > 0 {
+		alpha = math.Max(-stepMax, math.Min(-1, -math.Sqrt(rr/vv)))
+	}
+	sum := 0.0
+	for i := range x {
+		r := x1[i] - x[i]
+		v := x2[i] - x1[i] - r
+		p := x[i] - 2*alpha*r + alpha*alpha*v
+		if p < 0 {
+			return alpha, false
+		}
+		xp[i] = p
+		sum += p
+	}
+	inv := 1 / sum
+	for i := range xp {
+		xp[i] *= inv
+	}
+	return alpha, true
 }
 
 // growFloats resizes buf to n entries, reusing its storage when it
@@ -344,13 +434,16 @@ func patternProb(g patternGroup, f, prod []float64) float64 {
 // expectStep adds the pattern group's expected haplotype copy counts
 // to counts, given current frequencies: each unordered pair receives
 // count * f(h1)*f(h2) / sum on both ends, so the group adds 2*count
-// in total. prod is pairProducts' buffer.
-func expectStep(g patternGroup, f, counts, prod []float64) {
+// in total. It returns the pattern's probability under f, bit for bit
+// patternProb's value. prod is pairProducts' buffer.
+func expectStep(g patternGroup, f, counts, prod []float64) float64 {
 	if g.hets == 0 {
 		counts[g.base] += 2 * g.count
-		return
+		v := f[g.base]
+		return v * v
 	}
 	total, n := pairProducts(g, f, prod)
+	p := 2 * total
 	if total <= 0 {
 		// All compatible pairs currently have zero frequency; spread
 		// uniformly so the EM can recover (matches EH behaviour on
@@ -369,24 +462,28 @@ func expectStep(g patternGroup, f, counts, prod []float64) {
 		counts[g.base|(g.hets^s)] += w
 		i++
 		if s == 0 {
-			return
+			return p
 		}
 	}
 }
 
 // logLik returns the sample log-likelihood of the grouped patterns
-// under haplotype frequencies f. Patterns with zero probability
-// contribute a large negative penalty instead of -Inf so that
-// comparisons stay ordered.
+// under haplotype frequencies f.
 func logLik(groups []patternGroup, f, prod []float64) float64 {
 	ll := 0.0
 	for _, g := range groups {
-		p := patternProb(g, f, prod)
-		if p <= 0 {
-			ll += g.count * -745 // ~log of smallest positive float64
-			continue
-		}
-		ll += g.count * math.Log(p)
+		ll += groupLogLik(g, patternProb(g, f, prod))
 	}
 	return ll
+}
+
+// groupLogLik is a pattern group's log-likelihood term given its
+// pattern probability p. A zero-probability pattern contributes a
+// large negative penalty instead of -Inf so that comparisons stay
+// ordered.
+func groupLogLik(g patternGroup, p float64) float64 {
+	if p <= 0 {
+		return g.count * -745 // ~log of smallest positive float64
+	}
+	return g.count * math.Log(p)
 }

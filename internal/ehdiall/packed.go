@@ -33,7 +33,10 @@ type Scratch struct {
 	// Per-site allele-2 tallies over complete-case rows.
 	count2 [MaxSNPs]int
 
-	nullFreqs, freqs, counts []float64
+	nullFreqs []float64
+	// em holds the SQUAREM cycle's four frequency vectors (current
+	// point, two EM images and the extrapolation), swapped in place.
+	em [4][]float64
 	// prod holds one group's unordered pair products (pairProducts).
 	prod []float64
 	res  Result

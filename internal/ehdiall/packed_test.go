@@ -3,6 +3,7 @@ package ehdiall
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/genotype"
@@ -145,44 +146,54 @@ func TestEstimatePackedValidation(t *testing.T) {
 	}
 }
 
-// paper51Columns returns the packed columns of the first k planted
-// risk sites of the paper's 51-SNP study and the affected-row mask:
-// one status group of the production fitness evaluation.
-func paper51Columns(tb testing.TB, k int) ([]genotype.PackedColumn, genotype.PlaneMask) {
+// paper51Columns returns the packed columns of the given sites of the
+// paper's 51-SNP study and the affected-row mask: one status group of
+// the production fitness evaluation.
+func paper51Columns(tb testing.TB, sites []int) ([]genotype.PackedColumn, genotype.PlaneMask) {
 	tb.Helper()
 	d, err := popgen.Generate(popgen.Paper51(42))
 	if err != nil {
 		tb.Fatal(err)
 	}
 	packed := genotype.PackDataset(d)
-	cols := make([]genotype.PackedColumn, k)
-	for i, s := range popgen.PaperCausalSites[:k] {
+	cols := make([]genotype.PackedColumn, len(sites))
+	for i, s := range sites {
 		cols[i] = packed.Col(s)
 	}
 	return cols, genotype.NewPlaneMask(packed.NumRows(), d.ByStatus(genotype.Affected))
 }
 
-// TestEstimatePackedAllocFree: with a warm Scratch, EstimatePacked
-// reuses every buffer, the pair-product buffer included.
+// TestEstimatePackedAllocFree: one warm Scratch serves k = 1…8 and back
+// down to 2 without allocating, so every buffer — the pair products
+// and the SQUAREM cycle's frequency vectors included — grows once and
+// is reused.
 func TestEstimatePackedAllocFree(t *testing.T) {
-	cols, mask := paper51Columns(t, 6)
-	var scr Scratch
-	if _, err := EstimatePacked(cols, mask, Config{}, &scr); err != nil {
-		t.Fatal(err)
+	cols, mask := paper51Columns(t, append(slices.Clone(popgen.PaperCausalSites), 25, 37))
+	var ks []int
+	for k := 1; k <= len(cols); k++ {
+		ks = append(ks, k)
 	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := EstimatePacked(cols, mask, Config{}, &scr); err != nil {
-			t.Fatal(err)
+	for k := len(cols) - 1; k >= 2; k-- {
+		ks = append(ks, k)
+	}
+	var scr Scratch
+	sweep := func() {
+		for _, k := range ks {
+			if _, err := EstimatePacked(cols[:k], mask, Config{}, &scr); err != nil {
+				t.Fatal(err)
+			}
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("EstimatePacked with a warm scratch: %v allocs per call, want 0", allocs)
+	}
+	sweep()
+	// One measured sweep: any allocation in any of its calls counts.
+	if allocs := testing.AllocsPerRun(1, sweep); allocs != 0 {
+		t.Fatalf("EstimatePacked with a warm scratch: %v allocs over k = %v, want 0", allocs, ks)
 	}
 }
 
 // The production estimation path: packed columns, a warm Scratch.
 func benchmarkEstimatePackedK(b *testing.B, k int) {
-	cols, mask := paper51Columns(b, k)
+	cols, mask := paper51Columns(b, popgen.PaperCausalSites[:k])
 	var scr Scratch
 	res, err := EstimatePacked(cols, mask, Config{}, &scr)
 	if err != nil {

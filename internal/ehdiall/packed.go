@@ -23,8 +23,12 @@ import (
 // storage — it is valid only until the scratch's next use.
 type Scratch struct {
 	groups []patternGroup
-	idx    map[uint64]int32
-	p2     []float64
+	// slots is groupPacked's open-addressed pattern table; a slot is
+	// live only when it carries the current stamp, so bumping stamp
+	// empties the table without touching it.
+	slots []groupSlot
+	stamp uint32
+	p2    []float64
 
 	// Per-word class planes of the gathered columns, one entry per
 	// site (k <= MaxSNPs).
@@ -84,6 +88,45 @@ func EstimatePacked(cols []genotype.PackedColumn, mask genotype.PlaneMask, cfg C
 	return estimateCore(groups, n, k, scr.p2, cfg, scr), nil
 }
 
+// groupSlot is one entry of groupPacked's pattern table: a pattern
+// key and its group index, live while stamp is the table's current
+// stamp.
+type groupSlot struct {
+	key   uint64
+	stamp uint32
+	group int32
+}
+
+// hashMul is the 64-bit golden-ratio multiplier of Fibonacci hashing:
+// the top bits of key*hashMul index the pattern table.
+const hashMul = 0x9e3779b97f4a7c15
+
+// groupTable readies scr's pattern table for one call that selects
+// rows over k sites and returns it with its index shift. The table has
+// at least twice as many slots as the call can produce distinct
+// patterns (at most min(rows, 3^k)), so it is never more than half
+// full and every probe ends at an empty slot.
+func groupTable(k, rows int, scr *Scratch) ([]groupSlot, uint) {
+	distinct := 1
+	for j := 0; j < k && distinct < rows; j++ {
+		distinct *= 3
+	}
+	distinct = min(distinct, rows)
+	size, shift := 1, uint(64)
+	for size < 2*distinct {
+		size, shift = 2*size, shift-1
+	}
+	if len(scr.slots) < size {
+		scr.slots = make([]groupSlot, size)
+	}
+	scr.stamp++
+	if scr.stamp == 0 {
+		clear(scr.slots)
+		scr.stamp = 1
+	}
+	return scr.slots[:size], shift
+}
+
 // groupPacked walks the packed columns word by word, drops rows with a
 // missing code at any site, and groups the surviving complete-case
 // rows by (base, hets) pattern in first-appearance order. Because
@@ -95,11 +138,8 @@ func EstimatePacked(cols []genotype.PackedColumn, mask genotype.PlaneMask, cfg C
 func groupPacked(cols []genotype.PackedColumn, mask genotype.PlaneMask, scr *Scratch) ([]patternGroup, int) {
 	k := len(cols)
 	scr.groups = scr.groups[:0]
-	if scr.idx == nil {
-		scr.idx = make(map[uint64]int32)
-	} else {
-		clear(scr.idx)
-	}
+	table, shift := groupTable(k, mask.Count(), scr)
+	last, stamp := uint64(len(table)-1), scr.stamp
 	for j := 0; j < k; j++ {
 		scr.count2[j] = 0
 	}
@@ -136,12 +176,18 @@ func groupPacked(cols []genotype.PackedColumn, mask genotype.PlaneMask, scr *Scr
 				hets |= uint32((scr.het[j]>>pos)&1) << j
 			}
 			key := uint64(base)<<32 | uint64(hets)
-			if gi, ok := scr.idx[key]; ok {
-				scr.groups[gi].count++
-				continue
+			for i := key * hashMul >> shift; ; i = (i + 1) & last {
+				slot := &table[i]
+				if slot.stamp != stamp {
+					*slot = groupSlot{key: key, stamp: stamp, group: int32(len(scr.groups))}
+					scr.groups = append(scr.groups, patternGroup{base: base, hets: hets, count: 1})
+					break
+				}
+				if slot.key == key {
+					scr.groups[slot.group].count++
+					break
+				}
 			}
-			scr.idx[key] = int32(len(scr.groups))
-			scr.groups = append(scr.groups, patternGroup{base: base, hets: hets, count: 1})
 		}
 	}
 	return scr.groups, n

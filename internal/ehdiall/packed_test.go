@@ -2,6 +2,8 @@ package ehdiall
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -111,6 +113,61 @@ func TestEstimatePackedParity(t *testing.T) {
 	}
 }
 
+// TestGroupPackedTableReuse: one Scratch groups many calls of varying
+// k, row group and row count, and every call yields exactly the byte
+// path's groups — same patterns, in first-appearance order, with the
+// same counts. A slot left over from an earlier call must never be
+// mistaken for a live one, also when the table's generation stamp
+// wraps around to the stamp of a call whose slots are still there.
+func TestGroupPackedTableReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	var scr Scratch
+	check := func(call int, d *genotype.Dataset, groupRows, sites []int) {
+		t.Helper()
+		packed := genotype.PackDataset(d)
+		cols := make([]genotype.PackedColumn, len(sites))
+		for i, s := range sites {
+			cols[i] = packed.Col(s)
+		}
+		got, gotN := groupPacked(cols, genotype.NewPlaneMask(d.NumIndividuals(), groupRows), &scr)
+		if groupRows == nil {
+			groupRows = make([]int, d.NumIndividuals())
+			for i := range groupRows {
+				groupRows[i] = i
+			}
+		}
+		want, wantN, err := groupPatterns(d.ColumnPatterns(groupRows, sites), len(sites))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotN != wantN || !slices.Equal(got, want) {
+			t.Fatalf("call %d (rows=%d k=%d stamp=%d): packed %d rows in %v, byte %d rows in %v",
+				call, d.NumIndividuals(), len(sites), scr.stamp, gotN, got, wantN, want)
+		}
+	}
+	for call := 0; call < 40; call++ {
+		rows := []int{5, 33, 176, 700}[call%4]
+		d := parityDataset(rng, rows, 12, 0.1)
+		var groupRows []int
+		if call%3 != 0 {
+			groupRows = d.ByStatus(genotype.Status(call % 2))
+		}
+		sites := rng.Perm(d.NumSNPs())[:1+rng.Intn(10)]
+		genotype.SortSites(sites)
+		check(call, d, groupRows, sites)
+	}
+
+	scr = Scratch{}
+	d := parityDataset(rng, 176, 12, 0.1)
+	sites := []int{1, 4, 6}
+	check(0, d, nil, sites)
+	scr.stamp = math.MaxUint32
+	check(1, d, nil, sites)
+	if scr.stamp != 1 {
+		t.Fatalf("stamp %d after the wrap, want 1", scr.stamp)
+	}
+}
+
 // TestEstimatePackedNoData: a group whose every member is missing at a
 // selected site must fail with ErrNoData on both paths.
 func TestEstimatePackedNoData(t *testing.T) {
@@ -212,3 +269,43 @@ func benchmarkEstimatePackedK(b *testing.B, k int) {
 func BenchmarkEstimatePackedK2(b *testing.B) { benchmarkEstimatePackedK(b, 2) }
 func BenchmarkEstimatePackedK4(b *testing.B) { benchmarkEstimatePackedK(b, 4) }
 func BenchmarkEstimatePackedK6(b *testing.B) { benchmarkEstimatePackedK(b, 6) }
+
+// BenchmarkGroupPacked times the grouping front end alone (complete-case
+// filtering, per-row pattern keys, group lookup) with a warm Scratch, at
+// k = 2…8 on the paper-51 affected rows and on every row of a 1,800-row
+// cohort drawn from the same generator.
+func BenchmarkGroupPacked(b *testing.B) {
+	sites := append(slices.Clone(popgen.PaperCausalSites), 25, 37)
+	paperCols, paperMask := paper51Columns(b, sites)
+	cfg := popgen.Paper51(42)
+	cfg.NumAffected, cfg.NumUnaffected, cfg.NumUnknown = 900, 900, 0
+	d, err := popgen.Generate(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	packed := genotype.PackDataset(d)
+	cohortCols := make([]genotype.PackedColumn, len(sites))
+	for i, s := range sites {
+		cohortCols[i] = packed.Col(s)
+	}
+	sets := []struct {
+		name string
+		cols []genotype.PackedColumn
+		mask genotype.PlaneMask
+	}{
+		{"paper51", paperCols, paperMask},
+		{"cohort1800", cohortCols, packed.AllMask()},
+	}
+	for _, set := range sets {
+		for _, k := range []int{2, 3, 4, 6, 8} {
+			b.Run(fmt.Sprintf("%s/k%d", set.name, k), func(b *testing.B) {
+				var scr Scratch
+				groupPacked(set.cols[:k], set.mask, &scr)
+				b.ReportAllocs()
+				for b.Loop() {
+					groupPacked(set.cols[:k], set.mask, &scr)
+				}
+			})
+		}
+	}
+}

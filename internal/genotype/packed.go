@@ -73,8 +73,10 @@ func PackColumn(gs []Genotype) PackedColumn {
 }
 
 // PackColumnInto is PackColumn reusing words as the backing storage
-// when it is large enough.
-func PackColumnInto(gs []Genotype, words []uint64) PackedColumn {
+// when it is large enough. It accepts any byte-sized code slice, so a
+// raw column of genotype bytes (a spill file's payload) packs without
+// a conversion copy.
+func PackColumnInto[G ~uint8](gs []G, words []uint64) PackedColumn {
 	nw := packedWords(len(gs))
 	if cap(words) < nw {
 		words = make([]uint64, nw)
@@ -101,6 +103,9 @@ func (c PackedColumn) Len() int { return c.n }
 
 // NumWords returns the number of packed words.
 func (c PackedColumn) NumWords() int { return len(c.words) }
+
+// Word returns packed word w: rows 32w to 32w+31, two bits each.
+func (c PackedColumn) Word(w int) uint64 { return c.words[w] }
 
 // Get unpacks the genotype of row i.
 func (c PackedColumn) Get(i int) Genotype {
@@ -211,19 +216,47 @@ type Packed struct {
 
 // PackDataset packs every column of the dataset.
 func PackDataset(d *Dataset) *Packed {
-	rows := d.NumIndividuals()
+	return &Packed{
+		rows: d.NumIndividuals(),
+		cols: PackRange(d, 0, d.NumSNPs()),
+		all:  NewPlaneMask(d.NumIndividuals(), nil),
+	}
+}
+
+// PackRange packs the dataset's SNP columns [start, end) straight from
+// its row-major table, sharing one flat word allocation. It walks the
+// rows one word (32 rows) at a time and assembles each column's word
+// in a register before storing it once, so every row's genotypes are
+// read in order instead of gathered a column at a time. The codes are
+// PackColumn's: 00/01/10 for 0/1/2, 11 for Missing and any invalid
+// code.
+func PackRange(d *Dataset, start, end int) []PackedColumn {
+	rows, width := d.NumIndividuals(), end-start
 	nw := packedWords(rows)
-	flat := make([]uint64, nw*d.NumSNPs())
-	p := &Packed{
-		rows: rows,
-		cols: make([]PackedColumn, d.NumSNPs()),
-		all:  NewPlaneMask(rows, nil),
+	flat := make([]uint64, nw*width)
+	cols := make([]PackedColumn, width)
+	for c := range cols {
+		cols[c] = PackedColumn{words: flat[c*nw : (c+1)*nw], n: rows}
 	}
-	buf := make([]Genotype, rows)
-	for j := range p.cols {
-		p.cols[j] = PackColumnInto(d.Column(j, buf), flat[j*nw:(j+1)*nw])
+	var block [WordGenotypes][]Genotype
+	for w := 0; w < nw; w++ {
+		inds := d.Individuals[w*WordGenotypes : min((w+1)*WordGenotypes, rows)]
+		for i := range inds {
+			block[i] = inds[i].Genotypes[start:end]
+		}
+		for c := 0; c < width; c++ {
+			var word uint64
+			for i, gs := range block[:len(inds)] {
+				code := uint64(gs[c])
+				if code > 2 {
+					code = 3
+				}
+				word |= code << (2 * uint(i))
+			}
+			flat[c*nw+w] = word
+		}
 	}
-	return p
+	return cols
 }
 
 // NumSNPs returns the number of packed columns.

@@ -250,3 +250,41 @@ func TestPackedHWEParity(t *testing.T) {
 		}
 	}
 }
+
+// TestPackRangeParity: the row-blocked packer produces, column for
+// column, exactly the words PackColumn makes of the byte column —
+// missing and invalid codes (both 11) and partial last words included —
+// for one-column ranges, a full 32-column shard, a narrow last shard
+// and the whole table.
+func TestPackRangeParity(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	const snps = 70
+	ranges := [][2]int{{5, 6}, {32, 64}, {64, snps}, {0, snps}}
+	for _, rows := range []int{1, 31, 32, 33, 2000} {
+		d := testDataset(rng, rows, snps, 0.15)
+		for i := range d.Individuals {
+			if rng.Intn(10) == 0 {
+				d.Individuals[i].Genotypes[rng.Intn(snps)] = Genotype(3 + rng.Intn(252)) // invalid, not Missing
+			}
+		}
+		for _, r := range ranges {
+			cols := PackRange(d, r[0], r[1])
+			if len(cols) != r[1]-r[0] {
+				t.Fatalf("rows=%d range %v: %d columns", rows, r, len(cols))
+			}
+			for c, got := range cols {
+				j := r[0] + c
+				want := PackColumn(d.Column(j, nil))
+				if got.Len() != want.Len() || got.NumWords() != want.NumWords() {
+					t.Fatalf("rows=%d range %v column %d: Len/NumWords %d/%d, want %d/%d",
+						rows, r, j, got.Len(), got.NumWords(), want.Len(), want.NumWords())
+				}
+				for w := range want.NumWords() {
+					if got.Word(w) != want.Word(w) {
+						t.Fatalf("rows=%d range %v column %d word %d: %#x, want %#x", rows, r, j, w, got.Word(w), want.Word(w))
+					}
+				}
+			}
+		}
+	}
+}

@@ -116,27 +116,19 @@ func (p Plan) Equal(q Plan) bool {
 		p.Rows == q.Rows && p.ShardSize == q.ShardSize
 }
 
-// Shard is one materialized shard: an immutable column-major slice of
-// the dataset. Safe for concurrent readers.
+// Shard is one materialized shard: an immutable slice of the
+// dataset's columns in the 2-bit packed representation, the only form
+// the evaluator reads. Safe for concurrent readers.
 type Shard struct {
 	// Meta identifies the shard.
 	Meta Meta
 	// Rows is the individual count of every column.
 	Rows int
-	// Cols holds the genotype columns: Cols[i] is global column
-	// Meta.Start+i, one genotype per individual in dataset row order.
-	Cols [][]genotype.Genotype
-	// Packed holds the same columns in the 2-bit representation,
-	// packed once when the shard is materialized (built from the table
-	// or read back from a spill file) so the packed kernel gathers
-	// words, never repacks. Packed[i] mirrors Cols[i].
+	// Packed holds the shard's columns, packed once when the shard is
+	// materialized (straight from the table rows, or from a spill
+	// file's payload) so evaluation gathers words, never repacks:
+	// Packed[i] is global column Meta.Start+i.
 	Packed []genotype.PackedColumn
-}
-
-// Column returns the genotypes of global column site, which must lie
-// in [Meta.Start, Meta.End).
-func (s *Shard) Column(site int) []genotype.Genotype {
-	return s.Cols[site-s.Meta.Start]
 }
 
 // PackedColumn returns the packed form of global column site, which
@@ -145,28 +137,7 @@ func (s *Shard) PackedColumn(site int) genotype.PackedColumn {
 	return s.Packed[site-s.Meta.Start]
 }
 
-// pack fills s.Packed from s.Cols, sharing one flat word allocation
-// across the shard's columns.
-func (s *Shard) pack() {
-	nw := (s.Rows + genotype.WordGenotypes - 1) / genotype.WordGenotypes
-	flat := make([]uint64, nw*len(s.Cols))
-	s.Packed = make([]genotype.PackedColumn, len(s.Cols))
-	for i, col := range s.Cols {
-		s.Packed[i] = genotype.PackColumnInto(col, flat[i*nw:(i+1)*nw])
-	}
-}
-
-// buildShard extracts shard m of the dataset into one flat allocation
-// and packs it.
+// buildShard packs shard m's columns straight from the dataset's rows.
 func buildShard(d *genotype.Dataset, m Meta) *Shard {
-	rows := d.NumIndividuals()
-	flat := make([]genotype.Genotype, m.Width()*rows)
-	sh := &Shard{Meta: m, Rows: rows, Cols: make([][]genotype.Genotype, m.Width())}
-	for i := 0; i < m.Width(); i++ {
-		col := flat[i*rows : (i+1)*rows]
-		d.Column(m.Start+i, col)
-		sh.Cols[i] = col
-	}
-	sh.pack()
-	return sh
+	return &Shard{Meta: m, Rows: d.NumIndividuals(), Packed: genotype.PackRange(d, m.Start, m.End)}
 }

@@ -1,8 +1,10 @@
 package shard
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/genotype"
@@ -83,7 +85,8 @@ func TestPlan(t *testing.T) {
 }
 
 // columnsEqual checks that the source serves every column of the
-// dataset, byte for byte.
+// dataset as the packed image the evaluator reads: word for word what
+// PackColumn makes of the table's column.
 func columnsEqual(t *testing.T, name string, d *genotype.Dataset, src Source) {
 	t.Helper()
 	plan := src.Plan()
@@ -96,14 +99,15 @@ func columnsEqual(t *testing.T, name string, d *genotype.Dataset, src Source) {
 			t.Fatalf("%s: shard %d meta mismatch", name, i)
 		}
 		for s := sh.Meta.Start; s < sh.Meta.End; s++ {
-			col := sh.Column(s)
-			if len(col) != d.NumIndividuals() {
-				t.Fatalf("%s: shard %d column %d has %d rows", name, i, s, len(col))
+			got, want := sh.PackedColumn(s), genotype.PackColumn(d.Column(s, nil))
+			if got.Len() != want.Len() || got.NumWords() != want.NumWords() {
+				t.Fatalf("%s: shard %d column %d: %d rows in %d words, want %d in %d",
+					name, i, s, got.Len(), got.NumWords(), want.Len(), want.NumWords())
 			}
-			for r := range col {
-				if col[r] != d.Individuals[r].Genotypes[s] {
-					t.Fatalf("%s: shard %d column %d row %d: %v != %v",
-						name, i, s, r, col[r], d.Individuals[r].Genotypes[s])
+			for w := 0; w < want.NumWords(); w++ {
+				if got.Word(w) != want.Word(w) {
+					t.Fatalf("%s: shard %d column %d word %d: %#x != %#x",
+						name, i, s, w, got.Word(w), want.Word(w))
 				}
 			}
 		}
@@ -195,6 +199,97 @@ func TestSpillFilesAreWriteOnceAndReusable(t *testing.T) {
 	}
 	defer src4.Close()
 	columnsEqual(t, "replaced", d2, src4)
+}
+
+// TestSpillPayloadIsColumnMajorBytes pins the spill file format: a
+// 40-byte header, then the table's genotype bytes column by column
+// (Missing as 255), for a table with missing calls and a row count
+// that does not fill its last packed word. Shards hold only packed
+// columns in memory; the file is still the byte table.
+func TestSpillPayloadIsColumnMajorBytes(t *testing.T) {
+	d := testDataset(t, 51)
+	if err := d.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if d.NumIndividuals()%genotype.WordGenotypes == 0 {
+		t.Fatalf("%d rows fill whole words; the test needs a partial last word", d.NumIndividuals())
+	}
+	missing := 0
+	for _, ind := range d.Individuals {
+		for _, g := range ind.Genotypes {
+			if g == genotype.Missing {
+				missing++
+			}
+		}
+	}
+	if missing == 0 {
+		t.Fatal("test dataset has no missing calls")
+	}
+	const headerSize = 40
+	if spillHeaderSize != headerSize {
+		t.Fatalf("spill header is %d bytes, want %d", spillHeaderSize, headerSize)
+	}
+	dir := t.TempDir()
+	src, err := NewSpill(d, dir, 8, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	plan := src.Plan()
+	for i, m := range plan.Metas {
+		if _, err := src.Shard(i); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(spillPath(dir, i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(b) < headerSize || !bytes.Equal(b[:headerSize], spillHeader(plan, m)) {
+			t.Fatalf("shard %d: header does not describe the plan", i)
+		}
+		var want []byte
+		for s := m.Start; s < m.End; s++ {
+			for _, g := range d.Column(s, nil) {
+				want = append(want, byte(g))
+			}
+		}
+		if !bytes.Equal(b[headerSize:], want) {
+			t.Fatalf("shard %d: payload is not the table's column-major bytes", i)
+		}
+	}
+}
+
+// TestSpillRejectsInvalidPayload: a spill file whose header matches
+// the plan but whose payload holds a byte that is no genotype code is
+// refused as corrupt, not packed as missing.
+func TestSpillRejectsInvalidPayload(t *testing.T) {
+	d := testDataset(t, 20)
+	dir := t.TempDir()
+	src, err := NewSpill(d, dir, 8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := src.Shard(1); err != nil {
+		t.Fatal(err)
+	}
+	src.Close()
+	path := spillPath(dir, 1)
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[spillHeaderSize+17] = 7
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	src2, err := NewSpill(d, dir, 8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src2.Close()
+	if _, err := src2.Shard(1); err == nil || !strings.Contains(err.Error(), "corrupt spill file") {
+		t.Fatalf("Shard over an invalid payload byte: err = %v, want a corrupt-file error", err)
+	}
 }
 
 func TestSourceShardOutOfRange(t *testing.T) {

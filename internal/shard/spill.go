@@ -65,11 +65,11 @@ type spillSource struct {
 
 // NewSpill builds a Source over a spill directory (created if needed):
 // shard files are written on first demand — write-once, crash-safe via
-// temp+rename — and later demands (including from a restarted process
-// reusing the directory) are served by reading the file back. Files
-// whose header does not match the plan (a different dataset or shard
-// size spilled here before) are rewritten. hot sizes the resident LRU
-// (0 = DefaultHotShards).
+// temp+fsync+rename — and later demands (including from a restarted
+// process reusing the directory) are served by reading the file back.
+// Files whose header does not match the plan (a different dataset or
+// shard size spilled here before) are rewritten. hot sizes the
+// resident LRU (0 = DefaultHotShards).
 func NewSpill(d *genotype.Dataset, dir string, shardSize, hot int) (Source, error) {
 	plan, err := PlanFor(d, shardSize)
 	if err != nil {
@@ -140,33 +140,35 @@ func readSpill(path string, plan Plan, m Meta) (*Shard, error) {
 		return nil, fmt.Errorf("%w: %s: payload %d bytes, want %d",
 			errSpillStale, path, len(payload), m.Width()*plan.Rows)
 	}
-	flat := make([]genotype.Genotype, len(payload))
 	for i, v := range payload {
-		g := genotype.Genotype(v)
-		if !g.Valid() {
+		if !genotype.Genotype(v).Valid() {
 			return nil, fmt.Errorf("shard: corrupt spill file %s: invalid genotype %d at offset %d", path, v, i)
 		}
-		flat[i] = g
 	}
-	sh := &Shard{Meta: m, Rows: plan.Rows, Cols: make([][]genotype.Genotype, m.Width())}
-	for c := 0; c < m.Width(); c++ {
-		sh.Cols[c] = flat[c*plan.Rows : (c+1)*plan.Rows]
+	nw := (plan.Rows + genotype.WordGenotypes - 1) / genotype.WordGenotypes
+	flat := make([]uint64, nw*m.Width())
+	sh := &Shard{Meta: m, Rows: plan.Rows, Packed: make([]genotype.PackedColumn, m.Width())}
+	for c := range sh.Packed {
+		sh.Packed[c] = genotype.PackColumnInto(payload[c*plan.Rows:(c+1)*plan.Rows], flat[c*nw:(c+1)*nw])
 	}
-	sh.pack()
 	return sh, nil
 }
 
-// writeSpill lands one shard file atomically (temp + rename).
+// writeSpill lands one shard file atomically: the payload is unpacked
+// from the shard's packed columns into the file's byte layout, written
+// to a temp file, fsync'd and only then renamed into place, so a crash
+// can leave a missing file but never a valid header over lost data.
 func writeSpill(path string, plan Plan, sh *Shard) error {
 	buf := make([]byte, 0, spillHeaderSize+sh.Meta.Width()*sh.Rows)
 	buf = append(buf, spillHeader(plan, sh.Meta)...)
-	for _, col := range sh.Cols {
-		for _, g := range col {
-			buf = append(buf, byte(g))
+	for _, col := range sh.Packed {
+		for r := 0; r < col.Len(); r++ {
+			buf = append(buf, byte(col.Get(r)))
 		}
 	}
 	tmp := fmt.Sprintf("%s.tmp%d", path, os.Getpid())
-	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
+	if err := writeSynced(tmp, buf); err != nil {
+		os.Remove(tmp)
 		return fmt.Errorf("shard: spill write: %w", err)
 	}
 	if err := os.Rename(tmp, path); err != nil {
@@ -174,4 +176,21 @@ func writeSpill(path string, plan Plan, sh *Shard) error {
 		return fmt.Errorf("shard: spill write: %w", err)
 	}
 	return nil
+}
+
+// writeSynced writes data to a new file at path and fsyncs it before
+// closing.
+func writeSynced(path string, data []byte) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

@@ -68,7 +68,9 @@ func NewShardedEngine(d *Dataset, stat Statistic, shardSize int, spillDir string
 		src.Close()
 		return nil, fmt.Errorf("%w: %w", ErrBadConfig, err)
 	}
-	eng, err := engine.New(ev, engine.Options{Workers: workers, Fingerprint: d.Fingerprint()})
+	// shard.NewEvaluator has just checked that the plan's parent
+	// fingerprint is the dataset's, so the table is not hashed again.
+	eng, err := engine.New(ev, engine.Options{Workers: workers, Fingerprint: src.Plan().Parent})
 	if err != nil {
 		src.Close()
 		return nil, err

@@ -1,163 +1,51 @@
 package serve
 
 import (
-	"sync"
-	"time"
+	"context"
 
 	"repro"
 )
 
-// raceHandle runs one racing job (repro.Session.Race) behind the same
-// handle shape as a GA job, so the jobEntry plumbing — pump, stop,
-// drain, persistence — serves races without branching. Alongside the
-// runHandle shape it fans the race's conflated leaderboard stream out
-// to SSE subscribers (EventLeaderboard frames); the TraceEntry
-// progress stream is synthesized from the boards (Generation carries
-// the board sequence number, Evaluations the race's running total) so
-// the drain-to-close guarantee and the idle-eviction hooks of the
-// shared pump keep working.
-type raceHandle struct {
-	started  time.Time
-	rj       *repro.RaceJob
-	progress chan repro.TraceEntry
+// raceRun is a portfolio race job (Session.Race). Its frames are the
+// race's conflated leaderboards as EventLeaderboard.
+type raceRun struct{ *repro.RaceJob }
 
-	mu       sync.Mutex
-	board    repro.RaceBoard
-	hasBoard bool
-	subs     map[chan repro.RaceBoard]struct{}
-	finished bool
+// startRace launches the race. The wire's standard config field
+// configures the GA lanes when the spec carries none of its own.
+func startRace(ctx context.Context, sess *repro.Session, req JobRequest) (run, error) {
+	spec := *req.Race
+	if spec.Config == nil {
+		cfg := req.Config
+		spec.Config = &cfg
+	}
+	rj, err := sess.Race(ctx, spec)
+	if err != nil {
+		return nil, err
+	}
+	return raceRun{rj}, nil
 }
 
-// startRace wraps a launched race in its handle and starts the board
-// pump.
-func startRace(rj *repro.RaceJob) *raceHandle {
-	h := &raceHandle{
-		started:  time.Now(),
-		rj:       rj,
-		progress: make(chan repro.TraceEntry, subscriberBuffer),
+// Stop cancels every lane and waits. The partial leaderboard
+// (best-so-far per lane) stays readable through fill.
+func (r raceRun) Stop() { r.RaceJob.Stop() }
+
+func (r raceRun) stream(publish func(Event)) {
+	for b := range r.Board() {
+		publish(Event{Type: EventLeaderboard, Board: &b})
 	}
-	go h.run()
-	return h
+	<-r.Done() // the board stream may close just before the result is set
 }
 
-// run drains the race's Board stream, keeping the latest snapshot and
-// fanning each board out to every subscriber with per-subscriber
-// conflation (the same policy as TraceEntry fan-out).
-func (h *raceHandle) run() {
-	for b := range h.rj.Board() {
-		h.mu.Lock()
-		h.board = b
-		h.hasBoard = true
-		for ch := range h.subs {
-			conflatedBoardSend(ch, b)
-		}
-		h.mu.Unlock()
-		conflatedSend(h.progress, repro.TraceEntry{
-			Generation:  int(b.Seq),
-			Evaluations: b.TotalEvaluations,
-		})
-	}
-	<-h.rj.Done() // result is readable before the streams end
-	h.mu.Lock()
-	h.finished = true
-	for ch := range h.subs {
-		close(ch)
-	}
-	h.subs = nil
-	h.mu.Unlock()
-	close(h.progress)
-}
-
-// conflatedBoardSend delivers b to ch without ever blocking: a full
-// buffer drops the oldest board, so a slow subscriber misses old
-// leaderboards, never new ones.
-func conflatedBoardSend(ch chan repro.RaceBoard, b repro.RaceBoard) {
-	for {
-		select {
-		case ch <- b:
-			return
-		default:
-		}
-		select {
-		case <-ch:
-		default:
-		}
+// fill reports the race's JobReport (total evaluations across lanes,
+// aggregated engine counters) and its race section: the current
+// leaderboard, plus the result once ended (partial for a stopped race
+// — cut lanes keep their best-so-far). A race has no GAResult.
+func (r raceRun) fill(ji *JobInfo) {
+	ji.Report = r.Report()
+	ji.Race = &RaceInfo{Board: r.Snapshot()}
+	if ended(r) {
+		res, err := r.Wait()
+		ji.Race.Result = res
+		settle(ji, err)
 	}
 }
-
-// subscribeBoard registers a conflated leaderboard channel, pre-seeded
-// with the latest board so a late joiner sees current standings at
-// once. For a finished race the channel carries the final board (its
-// Finished flag set) and is already closed, so even a subscriber that
-// arrives after the race ends receives one leaderboard frame. off
-// detaches (idempotent).
-func (h *raceHandle) subscribeBoard() (<-chan repro.RaceBoard, func()) {
-	ch := make(chan repro.RaceBoard, subscriberBuffer)
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.finished {
-		if h.hasBoard {
-			ch <- h.board
-		}
-		close(ch)
-		return ch, func() {}
-	}
-	if h.hasBoard {
-		ch <- h.board
-	}
-	if h.subs == nil {
-		h.subs = make(map[chan repro.RaceBoard]struct{})
-	}
-	h.subs[ch] = struct{}{}
-	off := func() {
-		h.mu.Lock()
-		defer h.mu.Unlock()
-		if _, ok := h.subs[ch]; ok {
-			delete(h.subs, ch)
-			close(ch)
-		}
-	}
-	return ch, off
-}
-
-// raceInfo assembles the job's race section: the current leaderboard,
-// plus the final result once the race has ended (partial for a
-// stopped race — cut lanes keep their best-so-far).
-func (h *raceHandle) raceInfo() *RaceInfo {
-	ri := &RaceInfo{Board: h.rj.Snapshot()}
-	select {
-	case <-h.rj.Done():
-		res, _ := h.rj.Wait()
-		ri.Result = res
-	default:
-	}
-	return ri
-}
-
-// Progress implements runHandle; entries are synthesized board
-// heartbeats (see the type comment).
-func (h *raceHandle) Progress() <-chan repro.TraceEntry { return h.progress }
-
-// Done implements runHandle.
-func (h *raceHandle) Done() <-chan struct{} { return h.rj.Done() }
-
-// Wait implements runHandle. A race produces no GAResult — its
-// outcome is the RaceResult, surfaced by jobEntry.info as
-// JobInfo.Race.
-func (h *raceHandle) Wait() (*repro.GAResult, error) {
-	_, err := h.rj.Wait()
-	return nil, err
-}
-
-// Stop implements runHandle: cancel every lane and wait. The partial
-// leaderboard (best-so-far per lane) stays readable via raceInfo.
-func (h *raceHandle) Stop() (*repro.GAResult, error) {
-	_, err := h.rj.Stop()
-	return nil, err
-}
-
-// Report implements runHandle: the race's JobReport (total
-// evaluations across lanes, aggregated engine counters).
-func (h *raceHandle) Report() repro.JobReport { return h.rj.Report() }
-
-var _ runHandle = (*raceHandle)(nil)

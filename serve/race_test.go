@@ -4,11 +4,16 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
+	"net/http/httptest"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"repro"
+	"repro/internal/testleak"
 	"repro/serve"
 )
 
@@ -351,5 +356,154 @@ func TestServeMaxJobsSaturation(t *testing.T) {
 	}
 	if _, err := client.StopJob(ctx, raceJob.ID); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// sseFrame is one raw server-sent event: its event name, id line and
+// data payload, as the server wrote them.
+type sseFrame struct {
+	event, id string
+	data      []byte
+}
+
+// readSSE reads a job's event stream to its end and splits it into
+// frames. The stream of a finished job ends on its own after done.
+func readSSE(t *testing.T, ts *httptest.Server, jobID string) []sseFrame {
+	t.Helper()
+	resp, err := ts.Client().Get(ts.URL + "/v1/jobs/" + jobID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var frames []sseFrame
+	for _, block := range strings.Split(string(body), "\n\n") {
+		if block == "" {
+			continue
+		}
+		var f sseFrame
+		for _, line := range strings.Split(block, "\n") {
+			switch {
+			case strings.HasPrefix(line, "event: "):
+				f.event = strings.TrimPrefix(line, "event: ")
+			case strings.HasPrefix(line, "id: "):
+				f.id = strings.TrimPrefix(line, "id: ")
+			case strings.HasPrefix(line, "data: "):
+				f.data = []byte(strings.TrimPrefix(line, "data: "))
+			}
+		}
+		frames = append(frames, f)
+	}
+	return frames
+}
+
+// checkRaceClosingFrames asserts a finished race's stream: exactly one
+// leaderboard frame carrying the final board, then done.
+func checkRaceClosingFrames(t *testing.T, frames []sseFrame, final repro.RaceBoard) {
+	t.Helper()
+	if len(frames) != 2 || frames[0].event != serve.EventLeaderboard || frames[1].event != serve.EventDone {
+		t.Fatalf("finished race streamed %d frames %+v, want one leaderboard then done", len(frames), frames)
+	}
+	var b repro.RaceBoard
+	if err := json.Unmarshal(frames[0].data, &b); err != nil {
+		t.Fatal(err)
+	}
+	if !b.Finished || b.Seq != final.Seq || frames[0].id != strconv.FormatInt(final.Seq, 10) {
+		t.Fatalf("closing board finished=%v seq=%d id=%q, want finished with seq %d", b.Finished, b.Seq, frames[0].id, final.Seq)
+	}
+	if len(b.Lanes) != len(final.Lanes) || b.TotalEvaluations != final.TotalEvaluations {
+		t.Fatalf("closing board %+v differs from the final board %+v", b, final)
+	}
+	var ji serve.JobInfo
+	if err := json.Unmarshal(frames[1].data, &ji); err != nil {
+		t.Fatal(err)
+	}
+	if ji.State != serve.JobDone || ji.Race == nil || ji.Race.Result == nil {
+		t.Fatalf("done frame = %+v, want the finished race", ji)
+	}
+}
+
+// TestServeRaceStreamClosingFrames pins what a subscriber to a
+// finished race receives: one leaderboard frame with the final board,
+// then done — both from the live registry and from a registry
+// restored from the same store, which serves the persisted board.
+func TestServeRaceStreamClosingFrames(t *testing.T) {
+	testleak.Check(t)
+	ctx := context.Background()
+	store := serve.NewMemStore()
+	startServer := func() *httptest.Server {
+		reg := serve.NewRegistry(serve.RegistryConfig{SweepInterval: -1})
+		srv, err := serve.NewServer(reg, serve.WithStore(store))
+		if err != nil {
+			reg.Close()
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(srv)
+		t.Cleanup(func() {
+			ts.Close()
+			reg.Close()
+		})
+		return ts
+	}
+
+	ts1 := startServer()
+	client := serve.NewClient(ts1.URL, ts1.Client())
+	sess := raceSetup(t, client)
+	job, err := client.StartJob(ctx, sess.ID, serve.JobRequest{
+		Config: testGAConfig(4),
+		Race: &repro.RaceSpec{
+			Lanes:      []repro.RaceLaneSpec{{Optimizer: "ga"}, {Optimizer: "stpga"}},
+			SubsetSize: 2,
+			Budget:     400,
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	final, err := client.StreamEvents(ctx, job.ID, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final == nil || final.State != serve.JobDone || final.Race == nil || !final.Race.Board.Finished {
+		t.Fatalf("race final = %+v, want done with a finished board", final)
+	}
+
+	// A late subscriber on the live registry.
+	checkRaceClosingFrames(t, readSSE(t, ts1, job.ID), final.Race.Board)
+
+	// A second registry restored from the same store (the first stays
+	// open: closing it would empty the MemStore). The done event can
+	// reach the client before the pump persists the outcome, so wait
+	// for the record to leave state "running" first.
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		rec, err := store.Get(serve.KindJob, job.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stored serve.JobInfo
+		if err := json.Unmarshal(rec.Data, &stored); err != nil {
+			t.Fatal(err)
+		}
+		if stored.State != serve.JobRunning {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the race's outcome was never persisted")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	ts2 := startServer()
+	frames := readSSE(t, ts2, job.ID)
+	checkRaceClosingFrames(t, frames, final.Race.Board)
+	want, err := json.Marshal(final.Race.Board)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(frames[0].data) != string(want) {
+		t.Fatalf("restored board frame\n got %s\nwant %s", frames[0].data, want)
 	}
 }

@@ -30,8 +30,9 @@ type RegistryConfig struct {
 	// backends, releasing the memoized fitness caches — after this
 	// long without a session referencing it. Default 1h.
 	DatasetTTL time.Duration
-	// MaxJobsPerSession caps concurrently running jobs per session
-	// (repro.WithJobLimit); exceeding it yields HTTP 429. Default 4.
+	// MaxJobsPerSession caps concurrently running jobs of every kind —
+	// GA, race and sweep — per session; exceeding it yields HTTP 429.
+	// Default 4.
 	MaxJobsPerSession int
 	// SweepInterval is the janitor period for idle eviction. Default
 	// 30s — a sweep pass holds the registry lock only for in-memory
@@ -125,8 +126,25 @@ type sessionEntry struct {
 	shardSize int                  // effective columns per shard; 0 = monolithic
 	sharded   *repro.ShardedEngine // the shared backend, when sharded (sweep jobs need it)
 	jobIDs    []string
+	live      map[string]*jobEntry // jobs whose pump has not ended
+	pending   int                  // job slots reserved by starts still launching
 	lastUsed  time.Time
 	ver       int64 // store record version
+}
+
+// activeJobs counts the session's job slots in use: starts still
+// launching plus live jobs whose run has not ended. A job holds its
+// slot until its Done channel closes — the moment Stop returns. The
+// per-session job limit, SessionInfo.ActiveJobs and idle eviction all
+// read this count. Guarded by Registry.mu.
+func (se *sessionEntry) activeJobs() int {
+	n := se.pending
+	for _, je := range se.live {
+		if !ended(je.run) {
+			n++
+		}
+	}
+	return n
 }
 
 // archivedJob is a job restored from the store after a restart: its
@@ -294,11 +312,13 @@ func (r *Registry) restoreLocked() error {
 			// session came back sharded is restartable work, not a lost
 			// result: relaunch it under its original id — its storeSink
 			// loads the checkpoint and skips every completed shard.
-			if jr.Request != nil && jr.Request.Sweep != nil && se.sharded != nil {
-				if je, err := r.resumeSweepLocked(rec.ID, rec.Version, se, *jr.Request); err == nil {
-					r.jobs[rec.ID] = je
-					se.jobIDs = append(se.jobIDs, rec.ID)
-					continue
+			if jr.Request != nil && jr.Request.Sweep != nil {
+				if start, err := r.starterFor(se, *jr.Request); err == nil {
+					if je, err := newJob(se, rec.ID, *jr.Request, start); err == nil {
+						je.storeVer = rec.Version
+						r.registerLocked(se, je)
+						continue
+					}
 				}
 			}
 			// Anything else never persisted a result: mark the record
@@ -322,34 +342,6 @@ func (r *Registry) restoreLocked() error {
 	return nil
 }
 
-// resumeSweepLocked relaunches a restored sweep job under its original
-// id, resuming from its checkpoint record. The caller registers the
-// returned entry.
-func (r *Registry) resumeSweepLocked(id string, ver int64, se *sessionEntry, req JobRequest) (*jobEntry, error) {
-	cfg := shard.SweepConfig{Size: req.Sweep.Size, Stride: req.Sweep.Stride}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	var sink shard.Sink = shard.DiscardSink{}
-	if !r.storeDiscards() {
-		sink = newStoreSink(r.store, id)
-	}
-	ctx, cancel := context.WithCancel(context.Background()) //ldvet:allow ctxflow: a resumed sweep outlives any request; the registry cancels it via drain
-	h := startSweep(ctx, cancel, se.sharded, cfg, sink)
-	je := &jobEntry{
-		id:        id,
-		sessionID: se.id,
-		job:       h,
-		sweep:     h,
-		req:       &req,
-		cancel:    cancel,
-		storeVer:  ver,
-	}
-	r.jobsWG.Add(1)
-	go je.pump(r)
-	return je, nil
-}
-
 // spillDirFor is the per-dataset shard spill directory ("" when the
 // server keeps shards in memory).
 func (r *Registry) spillDirFor(datasetID string) string {
@@ -357,25 +349,6 @@ func (r *Registry) spillDirFor(datasetID string) string {
 		return ""
 	}
 	return filepath.Join(r.cfg.SpillDir, datasetID)
-}
-
-// liveSweepsLocked counts the session's sweep jobs still running.
-// Sweeps bypass Session.Start, so the session's own ActiveJobs misses
-// them; the job limit and idle eviction must add this count.
-func (r *Registry) liveSweepsLocked(se *sessionEntry) int {
-	n := 0
-	for _, jid := range se.jobIDs {
-		je, ok := r.jobs[jid]
-		if !ok || je.sweep == nil {
-			continue
-		}
-		select {
-		case <-je.job.Done():
-		default:
-			n++
-		}
-	}
-	return n
 }
 
 // seqOf parses the numeric suffix of a "s-12" / "j-7" style id.
@@ -575,6 +548,9 @@ func (r *Registry) addSessionLocked(id string, req SessionRequest, de *datasetEn
 	if req.ShardSize < 0 {
 		return nil, fmt.Errorf("%w: negative shard size %d", repro.ErrBadConfig, req.ShardSize)
 	}
+	if r.cfg.MaxJobsPerSession < 0 {
+		return nil, fmt.Errorf("%w: negative job limit %d", repro.ErrBadConfig, r.cfg.MaxJobsPerSession)
+	}
 	if req.ShardSize > 0 && be != repro.BackendNative {
 		return nil, fmt.Errorf("%w: only the native backend shards (backend %q with shard_size %d)", repro.ErrBadConfig, req.Backend, req.ShardSize)
 	}
@@ -591,10 +567,7 @@ func (r *Registry) addSessionLocked(id string, req SessionRequest, de *datasetEn
 		}
 		de.backends[key] = ev
 	}
-	sess, err := repro.NewSession(de.data,
-		repro.WithEvaluator(ev),
-		repro.WithStatistic(stat),
-		repro.WithJobLimit(r.cfg.MaxJobsPerSession))
+	sess, err := repro.NewSession(de.data, repro.WithEvaluator(ev), repro.WithStatistic(stat))
 	if err != nil {
 		return nil, err
 	}
@@ -605,6 +578,7 @@ func (r *Registry) addSessionLocked(id string, req SessionRequest, de *datasetEn
 		backend:   cli.BackendName(be),
 		statistic: cli.StatisticName(stat),
 		maxJobs:   r.cfg.MaxJobsPerSession,
+		live:      make(map[string]*jobEntry),
 		lastUsed:  time.Now(),
 	}
 	if eng, ok := ev.(*repro.ShardedEngine); ok && req.ShardSize > 0 {
@@ -634,7 +608,7 @@ func (r *Registry) sessionInfoLocked(se *sessionEntry) SessionInfo {
 		Workers:    se.sess.Workers(),
 		Statistic:  se.statistic,
 		MaxJobs:    se.maxJobs,
-		ActiveJobs: se.sess.ActiveJobs() + r.liveSweepsLocked(se),
+		ActiveJobs: se.activeJobs(),
 		ShardSize:  se.shardSize,
 	}
 }
@@ -707,12 +681,15 @@ func (r *Registry) EngineTotals() EngineTotals {
 	return t
 }
 
-// StartJob launches one background GA run on the session via
-// Session.Start. The per-session job limit is enforced by the session
-// itself (repro.ErrSessionBusy → HTTP 429). The job record is
-// persisted in state "running" before the creation is acknowledged,
-// and re-persisted with the outcome when the run ends — which is how
-// a restart can tell finished jobs from interrupted ones.
+// StartJob launches one background job on the session: a GA or
+// island-model run, a portfolio race (req.Race) or a sharded window
+// sweep (req.Sweep). It reserves one of the session's job slots under
+// the registry lock — every kind counts against MaxJobsPerSession, and
+// a full session answers repro.ErrSessionBusy (HTTP 429) — then
+// launches the run. The job record is persisted in state "running"
+// before the creation is acknowledged, and re-persisted with the
+// outcome when the run ends — which is how a restart can tell
+// finished jobs from interrupted ones.
 func (r *Registry) StartJob(sessionID string, req JobRequest) (JobInfo, error) {
 	r.mu.Lock()
 	if err := r.usable(); err != nil {
@@ -724,213 +701,135 @@ func (r *Registry) StartJob(sessionID string, req JobRequest) (JobInfo, error) {
 		r.mu.Unlock()
 		return JobInfo{}, err
 	}
-	if req.Race != nil {
-		if req.Sweep != nil || req.Islands != 0 || req.MigrationInterval != 0 || req.MigrationCount != 0 {
-			r.mu.Unlock()
-			return JobInfo{}, fmt.Errorf("%w: racing jobs run their own lanes; sweep, island and migration options do not apply", repro.ErrBadConfig)
-		}
-		r.jobSeq++
-		id := fmt.Sprintf("j-%d", r.jobSeq)
+	start, err := r.starterFor(se, req)
+	if err != nil {
 		r.mu.Unlock()
-		return r.launchRace(se, id, req)
+		return JobInfo{}, err
 	}
-	if req.Sweep != nil {
-		info, err := r.startSweepLocked(se, req) //ldvet:allow mutexio: sweep starts are rare; the lock makes the job-limit check and visibility atomic (see startSweepLocked)
+	if n := se.activeJobs(); n >= se.maxJobs {
 		r.mu.Unlock()
-		return info, err
+		return JobInfo{}, fmt.Errorf("%w: session %s already runs %d jobs (limit %d)", repro.ErrSessionBusy, se.id, n, se.maxJobs)
 	}
+	se.pending++
 	r.jobSeq++
 	id := fmt.Sprintf("j-%d", r.jobSeq)
 	r.mu.Unlock()
+	return r.launch(se, id, req, start)
+}
 
-	// Start outside the registry lock: it validates the config and
-	// may briefly contend on the session's own lock. Island options
-	// ride along when requested; their validation errors (negative
-	// counts, migration without islands) surface here as ErrBadConfig
-	// → HTTP 400.
-	opts := []repro.Option{repro.WithGAConfig(req.Config)}
-	if req.Islands != 0 {
-		opts = append(opts, repro.WithIslands(req.Islands))
+// starter launches one run of a job kind on ctx; id names the job
+// (a sweep keys its checkpoints by it).
+type starter func(ctx context.Context, id string) (run, error)
+
+// starterFor validates the request's option combination for its kind
+// and returns the kind's constructor. Run-level validation (the GA
+// config, the race spec) happens when the constructor runs.
+func (r *Registry) starterFor(se *sessionEntry, req JobRequest) (starter, error) {
+	gaOnly := req.Islands != 0 || req.MigrationInterval != 0 || req.MigrationCount != 0
+	switch {
+	case req.Race != nil:
+		if req.Sweep != nil || gaOnly {
+			return nil, fmt.Errorf("%w: racing jobs run their own lanes; sweep, island and migration options do not apply", repro.ErrBadConfig)
+		}
+		return func(ctx context.Context, _ string) (run, error) { return startRace(ctx, se.sess, req) }, nil
+	case req.Sweep != nil:
+		if gaOnly {
+			return nil, fmt.Errorf("%w: sweep jobs run no GA; island and migration options do not apply", repro.ErrBadConfig)
+		}
+		if se.sharded == nil {
+			return nil, fmt.Errorf("%w: sweep jobs require a sharded session (create it with shard_size >= 1)", repro.ErrBadConfig)
+		}
+		cfg := shard.SweepConfig{Size: req.Sweep.Size, Stride: req.Sweep.Stride}
+		if err := cfg.Validate(); err != nil {
+			return nil, fmt.Errorf("%w: %v", repro.ErrBadConfig, err)
+		}
+		return func(ctx context.Context, id string) (run, error) {
+			var sink shard.Sink = shard.DiscardSink{}
+			if !r.storeDiscards() {
+				sink = newStoreSink(r.store, id)
+			}
+			return newSweep(ctx, se.sharded, cfg, sink), nil
+		}, nil
+	default:
+		return func(ctx context.Context, _ string) (run, error) { return startGA(ctx, se.sess, req) }, nil
 	}
-	if req.MigrationInterval != 0 || req.MigrationCount != 0 {
-		opts = append(opts, repro.WithMigration(req.MigrationInterval, req.MigrationCount))
-	}
-	ctx, cancel := context.WithCancel(context.Background()) //ldvet:allow ctxflow: a background job outlives the creating request; DELETE and drain cancel it
-	job, err := se.sess.Start(ctx, opts...)
+}
+
+// newJob creates the job's context and starts its run under id.
+func newJob(se *sessionEntry, id string, req JobRequest, start starter) (*jobEntry, error) {
+	ctx, cancel := context.WithCancel(context.Background()) //ldvet:allow ctxflow: a job outlives the request that created it; DELETE and drain cancel it
+	rn, err := start(ctx, id)
 	if err != nil {
 		cancel()
+		return nil, err
+	}
+	return &jobEntry{id: id, sessionID: se.id, run: rn, req: &req, cancel: cancel}, nil
+}
+
+// launch starts a job on the slot StartJob reserved, persists its
+// record in state "running" and makes it visible. The run's start
+// (which validates its config and may contend on the session lock) and
+// the possibly fsync'd record write both happen outside the registry
+// lock. The reservation turns into the live job, or is returned if the
+// launch fails.
+func (r *Registry) launch(se *sessionEntry, id string, req JobRequest, start starter) (JobInfo, error) {
+	je, err := newJob(se, id, req, start)
+	if err != nil {
+		r.unreserve(se)
 		return JobInfo{}, err
 	}
-	je := &jobEntry{
-		id:        id,
-		sessionID: sessionID,
-		job:       job,
-		req:       &req,
-		cancel:    cancel,
-	}
-	// Persist the record in state "running" before the job becomes
-	// visible, keeping the (possibly fsync'd) write outside the
-	// registry lock so it never stalls concurrent readers.
 	info := je.info()
 	ver, err := r.putRecord(KindJob, id, 0, jobRecord{JobInfo: info, Request: &req})
 	if err != nil {
-		job.Stop()
+		je.abort()
+		r.unreserve(se)
 		return JobInfo{}, fmt.Errorf("serve: persist job: %w", err)
 	}
 	je.storeVer = ver
 	r.mu.Lock()
+	se.pending--
 	// Re-check after re-acquiring the lock: a drain (or Close) that
-	// began while Start ran has already snapshotted r.jobs — and
-	// Close may already be waiting on jobsWG — so this job must not
-	// register; stop it, take its record back out, and reject.
+	// began meanwhile has already snapshotted r.jobs — and Close may
+	// already be waiting on jobsWG — so this job must not register;
+	// stop it, take its record back out, and reject.
 	if err := r.usable(); err != nil {
 		r.mu.Unlock()
-		job.Stop()
+		je.abort()
 		r.deleteRecord(KindJob, id)
 		return JobInfo{}, err
 	}
-	r.jobs[id] = je
-	se.jobIDs = append(se.jobIDs, id)
-	r.jobsWG.Add(1)
+	r.registerLocked(se, je)
 	r.mu.Unlock()
-	go je.pump(r)
 	return info, nil
 }
 
-// launchRace starts a racing job (repro.Session.Race) under the
-// allocated id, following the GA path's locking discipline: the
-// launch, which validates the spec and contends on the session lock,
-// and the fsync'd record write both run outside the registry lock.
-// The race claims one of the session's job slots itself, so the
-// per-session limit surfaces here as repro.ErrSessionBusy → HTTP 429.
-func (r *Registry) launchRace(se *sessionEntry, id string, req JobRequest) (JobInfo, error) {
-	spec := *req.Race
-	if spec.Config == nil {
-		// The wire's standard config field configures the GA lanes
-		// when the spec carries none of its own.
-		cfg := req.Config
-		spec.Config = &cfg
-	}
-	ctx, cancel := context.WithCancel(context.Background()) //ldvet:allow ctxflow: a background race outlives the creating request; DELETE and drain cancel it
-	rj, err := se.sess.Race(ctx, spec)
-	if err != nil {
-		cancel()
-		return JobInfo{}, err
-	}
-	h := startRace(rj)
-	je := &jobEntry{
-		id:        id,
-		sessionID: se.id,
-		job:       h,
-		race:      h,
-		req:       &req,
-		cancel:    cancel,
-	}
-	info := je.info()
-	ver, err := r.putRecord(KindJob, id, 0, jobRecord{JobInfo: info, Request: &req})
-	if err != nil {
-		h.Stop()
-		return JobInfo{}, fmt.Errorf("serve: persist job: %w", err)
-	}
-	je.storeVer = ver
+// unreserve returns a job slot whose launch failed.
+func (r *Registry) unreserve(se *sessionEntry) {
 	r.mu.Lock()
-	if err := r.usable(); err != nil {
-		r.mu.Unlock()
-		h.Stop()
-		r.deleteRecord(KindJob, id)
-		return JobInfo{}, err
-	}
-	r.jobs[id] = je
-	se.jobIDs = append(se.jobIDs, id)
-	r.jobsWG.Add(1)
+	se.pending--
 	r.mu.Unlock()
-	go je.pump(r)
-	return info, nil
 }
 
-// SubscribeBoard attaches a conflated leaderboard stream to a racing
-// job, with the same semantics as Subscribe (latest board first, a
-// slow reader misses old boards, closed when the race ends). A
-// finished or restored race yields one frame — the final board — and
-// an immediate close, so every subscriber sees at least one
-// leaderboard. The third result is false — with no channel — when the
-// job exists but is not a race.
-func (r *Registry) SubscribeBoard(jobID string) (<-chan repro.RaceBoard, func(), bool, error) {
-	je, aj, err := r.jobRef(jobID)
-	if err != nil {
-		return nil, nil, false, err
-	}
-	if aj != nil {
-		if aj.info.Race == nil {
-			return nil, nil, false, nil
-		}
-		// Archived race: one frame carrying the persisted final board,
-		// then the close — the same shape a live-but-finished race
-		// hands a late subscriber.
-		closed := make(chan repro.RaceBoard, 1)
-		closed <- aj.info.Race.Board
-		close(closed)
-		return closed, func() {}, true, nil
-	}
-	if je.race == nil {
-		return nil, nil, false, nil
-	}
-	ch, off := je.race.subscribeBoard()
-	return ch, func() {
-		off()
-		r.touchSession(je.sessionID)
-	}, true, nil
-}
-
-// startSweepLocked launches a sharded window sweep as a job on the
-// session's ShardedEngine. Unlike GA jobs this runs entirely under the
-// registry lock — sweep starts are rare, and the lock is what makes
-// the job-limit check and the job's visibility atomic (the same
-// precedent as AddDataset's under-lock Put). Sweeps bypass
-// Session.Start, so the per-session job limit is enforced here.
-func (r *Registry) startSweepLocked(se *sessionEntry, req JobRequest) (JobInfo, error) {
-	if req.Islands != 0 || req.MigrationInterval != 0 || req.MigrationCount != 0 {
-		return JobInfo{}, fmt.Errorf("%w: sweep jobs run no GA; island and migration options do not apply", repro.ErrBadConfig)
-	}
-	if se.sharded == nil {
-		return JobInfo{}, fmt.Errorf("%w: sweep jobs require a sharded session (create it with shard_size >= 1)", repro.ErrBadConfig)
-	}
-	cfg := shard.SweepConfig{Size: req.Sweep.Size, Stride: req.Sweep.Stride}
-	if err := cfg.Validate(); err != nil {
-		return JobInfo{}, fmt.Errorf("%w: %v", repro.ErrBadConfig, err)
-	}
-	if se.maxJobs > 0 && se.sess.ActiveJobs()+r.liveSweepsLocked(se) >= se.maxJobs {
-		return JobInfo{}, fmt.Errorf("%w: session %s already runs %d jobs", repro.ErrSessionBusy, se.id, se.maxJobs)
-	}
-	r.jobSeq++
-	id := fmt.Sprintf("j-%d", r.jobSeq)
-	var sink shard.Sink = shard.DiscardSink{}
-	if !r.storeDiscards() {
-		sink = newStoreSink(r.store, id)
-	}
-	ctx, cancel := context.WithCancel(context.Background()) //ldvet:allow ctxflow: a background sweep outlives the creating request; DELETE and drain cancel it
-	h := startSweep(ctx, cancel, se.sharded, cfg, sink)
-	je := &jobEntry{
-		id:        id,
-		sessionID: se.id,
-		job:       h,
-		sweep:     h,
-		req:       &req,
-		cancel:    cancel,
-	}
-	info := je.info()
-	ver, err := r.putRecord(KindJob, id, 0, jobRecord{JobInfo: info, Request: &req})
-	if err != nil {
-		h.Stop() // deadlock-free under r.mu: the sweep goroutine never takes it
-		r.deleteRecord(KindCheckpoint, id)
-		return JobInfo{}, fmt.Errorf("serve: persist job: %w", err)
-	}
-	je.storeVer = ver
-	r.jobs[id] = je
-	se.jobIDs = append(se.jobIDs, id)
+// registerLocked makes a started job visible, counts it against its
+// session's slots and starts its pump.
+func (r *Registry) registerLocked(se *sessionEntry, je *jobEntry) {
+	r.jobs[je.id] = je
+	se.jobIDs = append(se.jobIDs, je.id)
+	se.live[je.id] = je
 	r.jobsWG.Add(1)
 	go je.pump(r)
-	return info, nil
+}
+
+// jobEnded drops a finished job from its session's live set. The run's
+// end is session activity: the idle-eviction clock starts from here,
+// not from the request that launched the job.
+func (r *Registry) jobEnded(je *jobEntry) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if se, ok := r.sessions[je.sessionID]; ok {
+		delete(se.live, je.id)
+		se.lastUsed = time.Now()
+	}
 }
 
 // persistJobFinal re-writes the job's record with its terminal state
@@ -959,13 +858,12 @@ func (r *Registry) persistJobFinal(je *jobEntry) {
 		}
 		return
 	}
-	// A terminal sweep — done, canceled or failed — never resumes, so
-	// its checkpoint record is garbage now. Only a crash (which leaves
+	// A terminal job — done, canceled or failed — never resumes, so a
+	// sweep's checkpoint record is garbage now (deleting the missing
+	// record of another kind is a no-op). Only a crash (which leaves
 	// the job record in state "running") keeps the checkpoint, and that
 	// pair is exactly what restore resumes from.
-	if je.sweep != nil {
-		r.deleteRecord(KindCheckpoint, je.id)
-	}
+	r.deleteRecord(KindCheckpoint, je.id)
 	r.mu.Lock()
 	if _, ok := r.jobs[je.id]; ok {
 		je.storeVer = newVer
@@ -1017,31 +915,31 @@ func (r *Registry) StopJob(id string) (JobInfo, error) {
 	if aj != nil {
 		return aj.info, nil
 	}
-	je.job.Stop()
+	je.run.Stop()
 	return je.info(), nil
 }
 
-// Subscribe attaches a conflated progress stream to a job: the
-// returned channel delivers TraceEntries with the same semantics as
-// Job.Progress (a slow reader misses old generations, never blocks
-// the GA or other subscribers) and is closed when the run ends. The
-// latest entry, if any, is delivered first, so a late subscriber sees
-// the current state immediately. For a finished or restored job the
-// channel is already closed — the caller reads the outcome from Job.
-// Call off to detach.
-func (r *Registry) Subscribe(jobID string) (ch <-chan repro.TraceEntry, off func(), err error) {
+// Subscribe attaches a conflated event stream to a job: the returned
+// channel delivers the kind's frames — EventGeneration TraceEntries for
+// GA and sweep jobs, EventLeaderboard boards for races — with the same
+// semantics as Job.Progress (a slow reader misses old frames, never
+// blocks the run or other subscribers), and is closed when the run
+// ends. The latest frame, if any, is delivered first, so a late
+// subscriber sees the current state immediately. A finished or
+// restored job yields its closing frames (a race's final board,
+// nothing otherwise) and an already-closed channel — the caller reads
+// the outcome from Job. Call off to detach.
+func (r *Registry) Subscribe(jobID string) (ch <-chan Event, off func(), err error) {
 	je, aj, err := r.jobRef(jobID)
 	if err != nil {
 		return nil, nil, err
 	}
 	if aj != nil {
-		closed := make(chan repro.TraceEntry)
-		close(closed)
-		return closed, func() {}, nil
+		return closingStream(aj.info), func() {}, nil
 	}
-	ch, detach, err := je.subscribe()
-	if err != nil {
-		return nil, nil, err
+	ch, detach := je.subscribe()
+	if ch == nil {
+		return closingStream(je.info()), func() {}, nil
 	}
 	// Detaching counts as session activity, so the idle-eviction
 	// clock restarts when a long stream ends (Sweep also skips
@@ -1197,9 +1095,7 @@ func (r *Registry) RunningJobs() int {
 	defer r.mu.Unlock()
 	n := 0
 	for _, je := range r.jobs {
-		select {
-		case <-je.job.Done():
-		default:
+		if !ended(je.run) {
 			n++
 		}
 	}
@@ -1239,10 +1135,10 @@ func (r *Registry) Sweep(now time.Time) (evictedSessions, evictedDatasets int) {
 	var orphans []recordRef
 	r.mu.Lock()
 	for id, se := range r.sessions {
-		if now.Sub(se.lastUsed) <= r.cfg.SessionTTL || se.sess.ActiveJobs() > 0 || r.liveSweepsLocked(se) > 0 {
+		if now.Sub(se.lastUsed) <= r.cfg.SessionTTL || se.activeJobs() > 0 {
 			continue
 		}
-		if r.sessionStreamedLocked(se) {
+		if se.streamed() {
 			continue // a live event stream pins the session
 		}
 		orphans = append(orphans, r.dropSessionLocked(id, se, now)...)
@@ -1266,11 +1162,12 @@ func (r *Registry) Sweep(now time.Time) (evictedSessions, evictedDatasets int) {
 	return evictedSessions, evictedDatasets
 }
 
-// sessionStreamedLocked reports whether any of the session's jobs has
-// a live progress subscriber.
-func (r *Registry) sessionStreamedLocked(se *sessionEntry) bool {
-	for _, jid := range se.jobIDs {
-		if je, ok := r.jobs[jid]; ok && je.hasSubscribers() {
+// streamed reports whether any of the session's jobs has a live event
+// subscriber. Only live jobs can: a pump drops its subscribers before
+// its job leaves the live set. Guarded by Registry.mu.
+func (se *sessionEntry) streamed() bool {
+	for _, je := range se.live {
+		if je.hasSubscribers() {
 			return true
 		}
 	}

@@ -3,6 +3,7 @@ package serve_test
 import (
 	"bytes"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -274,5 +275,71 @@ func TestRegistryDrain(t *testing.T) {
 	}
 	if _, err := reg.Stats(sess.ID); err != nil {
 		t.Fatalf("Stats read during drain: %v", err)
+	}
+}
+
+// TestRegistryConcurrentStartsRespectLimit: GA and race starts racing
+// for a session's slots never overshoot its limit — exactly the limit
+// many start, the rest are busy — and the slots of the started jobs
+// are free again once they are stopped.
+func TestRegistryConcurrentStartsRespectLimit(t *testing.T) {
+	const limit, starts = 2, 6
+	reg := testRegistry(t, serve.RegistryConfig{MaxJobsPerSession: limit})
+	ds, err := reg.AddDataset(smallDatasetRequest(t, 9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := reg.CreateSession(serve.SessionRequest{DatasetID: ds.ID, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := testGAConfig(7)
+	long.StagnationLimit = 100000
+	long.MaxGenerations = 100000
+	var wg sync.WaitGroup
+	ids := make(chan string, starts)
+	errs := make(chan error, starts)
+	for i := 0; i < starts; i++ {
+		req := serve.JobRequest{Config: long}
+		if i%2 == 1 {
+			req.Race = &repro.RaceSpec{Lanes: []repro.RaceLaneSpec{{Optimizer: "ga"}}}
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ji, err := reg.StartJob(sess.ID, req)
+			if err != nil {
+				errs <- err
+				return
+			}
+			ids <- ji.ID
+		}()
+	}
+	wg.Wait()
+	close(ids)
+	close(errs)
+	for err := range errs {
+		if !errors.Is(err, repro.ErrSessionBusy) {
+			t.Errorf("start err = %v, want ErrSessionBusy", err)
+		}
+	}
+	var started []string
+	for id := range ids {
+		started = append(started, id)
+	}
+	si, err := reg.Session(sess.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(started) != limit || si.ActiveJobs != limit {
+		t.Errorf("%d of %d concurrent starts succeeded, ActiveJobs = %d; want %d each", len(started), starts, si.ActiveJobs, limit)
+	}
+	for _, id := range started {
+		if _, err := reg.StopJob(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if si, err = reg.Session(sess.ID); err != nil || si.ActiveJobs != 0 {
+		t.Fatalf("after stopping every job ActiveJobs = %d (err %v), want 0", si.ActiveJobs, err)
 	}
 }

@@ -285,24 +285,15 @@ func (s *Server) deleteJob(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, ji)
 }
 
-// getEvents streams the job's progress as server-sent events: one
-// "generation" event per received TraceEntry (conflated — see
-// Registry.Subscribe) and a final "done" event carrying the JobInfo.
-// The stream ends when the run does or when the client disconnects.
-// For a finished — or restored — job the channel is already closed,
-// so the stream is just the terminating done event.
+// getEvents streams the job's events as server-sent events: one frame
+// per received Event (conflated — see Registry.Subscribe) — a
+// "generation" TraceEntry for GA and sweep jobs, a "leaderboard" board
+// for races — and a final "done" event carrying the JobInfo. The
+// stream ends when the run does or when the client disconnects. For a
+// finished — or restored — job the channel is already closed, so the
+// stream is its closing frames (a race's final board) and done.
 func (s *Server) getEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	boards, boardOff, isRace, err := s.reg.SubscribeBoard(id)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	if isRace {
-		defer boardOff()
-		s.streamRace(w, r, id, boards)
-		return
-	}
 	ch, off, err := s.reg.Subscribe(id)
 	if err != nil {
 		writeError(w, err)
@@ -330,36 +321,11 @@ func (s *Server) getEvents(w http.ResponseWriter, r *http.Request) {
 				fl.Flush()
 				return
 			}
-			writeEvent(w, EventGeneration, strconv.Itoa(e.Generation), e)
-			fl.Flush()
-		}
-	}
-}
-
-// streamRace streams a racing job's conflated leaderboard as
-// EventLeaderboard frames (id = board sequence number), terminated by
-// the standard EventDone carrying the JobInfo with its race outcome.
-func (s *Server) streamRace(w http.ResponseWriter, r *http.Request, id string, boards <-chan repro.RaceBoard) {
-	fl, ok := sseStart(w)
-	if !ok {
-		return
-	}
-	ctx := r.Context()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case b, ok := <-boards:
-			if !ok {
-				ji, err := s.reg.Job(id)
-				if err != nil {
-					return // session evicted mid-stream
-				}
-				writeEvent(w, EventDone, "", ji)
-				fl.Flush()
-				return
+			if e.Board != nil {
+				writeEvent(w, e.Type, strconv.FormatInt(e.Board.Seq, 10), e.Board)
+			} else {
+				writeEvent(w, e.Type, strconv.Itoa(e.Entry.Generation), e.Entry)
 			}
-			writeEvent(w, EventLeaderboard, strconv.FormatInt(b.Seq, 10), b)
 			fl.Flush()
 		}
 	}

@@ -12,17 +12,18 @@ import (
 	"repro/internal/shard"
 )
 
-// sweepHandle runs one sharded window sweep (shard.RunSweep) behind
-// the same handle shape as a GA job (*repro.Job), so the jobEntry
-// plumbing — progress pump, SSE fan-out, stop, drain — serves both
-// without branching. Progress is published as TraceEntry snapshots:
-// Generation carries completed shards, Evaluations the windows
-// evaluated in this life.
-type sweepHandle struct {
-	started  time.Time
-	cancel   context.CancelFunc
-	progress chan repro.TraceEntry
-	done     chan struct{}
+// sweepRun is a sharded window sweep job (shard.RunSweep). Its frames
+// are EventGeneration TraceEntries: Generation carries completed
+// shards, Evaluations the windows evaluated in this life. The sweep
+// itself runs inside stream, on the job's pump goroutine.
+type sweepRun struct {
+	started time.Time
+	ctx     context.Context
+	cancel  context.CancelFunc
+	eng     *repro.ShardedEngine
+	cfg     shard.SweepConfig
+	sink    shard.Sink
+	done    chan struct{}
 
 	mu     sync.Mutex
 	status shard.SweepStatus
@@ -30,104 +31,71 @@ type sweepHandle struct {
 	err    error
 }
 
-// startSweep launches the sweep over the session's sharded engine.
-// sink persists checkpoints (a storeSink over the registry store, or
-// shard.DiscardSink when the registry discards records).
-func startSweep(ctx context.Context, cancel context.CancelFunc, eng *repro.ShardedEngine, cfg shard.SweepConfig, sink shard.Sink) *sweepHandle {
-	h := &sweepHandle{
-		started:  time.Now(),
-		cancel:   cancel,
-		progress: make(chan repro.TraceEntry, 16),
-		done:     make(chan struct{}),
+// newSweep prepares the sweep over the session's sharded engine. sink
+// persists checkpoints (a storeSink over the registry store, or
+// shard.DiscardSink when the registry discards records); a checkpoint
+// it already holds is resumed.
+func newSweep(ctx context.Context, eng *repro.ShardedEngine, cfg shard.SweepConfig, sink shard.Sink) *sweepRun {
+	ctx, cancel := context.WithCancel(ctx)
+	return &sweepRun{
+		started: time.Now(),
+		ctx:     ctx,
+		cancel:  cancel,
+		eng:     eng,
+		cfg:     cfg,
+		sink:    sink,
+		done:    make(chan struct{}),
 	}
-	go h.run(ctx, eng, cfg, sink)
-	return h
 }
 
-func (h *sweepHandle) run(ctx context.Context, eng *repro.ShardedEngine, cfg shard.SweepConfig, sink shard.Sink) {
-	res, err := shard.RunSweep(ctx, eng, eng.Plan(), cfg, sink, func(st shard.SweepStatus) {
-		h.mu.Lock()
-		h.status = st
-		h.mu.Unlock()
-		conflatedSend(h.progress, repro.TraceEntry{
-			Generation:  st.ShardsDone,
-			Evaluations: st.Evaluated,
-		})
+func (s *sweepRun) Done() <-chan struct{} { return s.done }
+
+// Stop cancels and waits for the wind-down. The completed shards stay
+// checkpointed, so a resubmitted sweep resumes.
+func (s *sweepRun) Stop() {
+	s.cancel()
+	<-s.done
+}
+
+func (s *sweepRun) stream(publish func(Event)) {
+	defer s.cancel()
+	res, err := shard.RunSweep(s.ctx, s.eng, s.eng.Plan(), s.cfg, s.sink, func(st shard.SweepStatus) {
+		s.mu.Lock()
+		s.status = st
+		s.mu.Unlock()
+		publish(Event{Type: EventGeneration, Entry: &repro.TraceEntry{Generation: st.ShardsDone, Evaluations: st.Evaluated}})
 	})
 	if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
 		err = fmt.Errorf("%w: sweep stopped after %d of %d shards", repro.ErrCanceled, res.Done, res.Shards)
 	}
-	h.mu.Lock()
-	h.res, h.err = res, err
-	h.mu.Unlock()
-	close(h.done)     // result is readable before the stream ends…
-	close(h.progress) // …so pump's drain-to-close guarantee holds
+	s.mu.Lock()
+	s.res, s.err = res, err
+	s.mu.Unlock()
+	close(s.done)
 }
 
-// Progress implements runHandle; same conflation semantics as
-// Job.Progress (the channel is fed by conflatedSend).
-func (h *sweepHandle) Progress() <-chan repro.TraceEntry { return h.progress }
-
-// Done implements runHandle.
-func (h *sweepHandle) Done() <-chan struct{} { return h.done }
-
-// Wait implements runHandle. A sweep produces no GAResult — its
-// outcome is the SweepResult, surfaced by jobEntry.info as
-// JobInfo.Sweep.
-func (h *sweepHandle) Wait() (*repro.GAResult, error) {
-	<-h.done
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return nil, h.err
-}
-
-// Stop implements runHandle: cancel and wait for the wind-down. The
-// completed shards stay checkpointed, so a resubmitted sweep resumes.
-func (h *sweepHandle) Stop() (*repro.GAResult, error) {
-	h.cancel()
-	return h.Wait()
-}
-
-// Report implements runHandle: shard progress in GA-report clothing.
-func (h *sweepHandle) Report() repro.JobReport {
-	rep := repro.JobReport{Elapsed: time.Since(h.started)}
-	select {
-	case <-h.done:
-	default:
-		rep.Running = true
+// fill reports shard progress in GA-report clothing, the shard
+// bookkeeping (the final result's once ended) and, once ended, the
+// sweep outcome. A sweep has no GAResult.
+func (s *sweepRun) fill(ji *JobInfo) {
+	isEnded := ended(s)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	ji.Report = repro.JobReport{
+		Running:     !isEnded,
+		Generation:  s.status.ShardsDone,
+		Evaluations: s.status.Evaluated,
+		Elapsed:     time.Since(s.started),
 	}
-	h.mu.Lock()
-	rep.Generation = h.status.ShardsDone
-	rep.Evaluations = h.status.Evaluated
-	h.mu.Unlock()
-	return rep
-}
-
-// result returns the finished sweep's outcome (nil while running).
-func (h *sweepHandle) result() *shard.SweepResult {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.res
-}
-
-// shardProgress snapshots the sweep for JobInfo.Shards, preferring
-// the final result once the run has ended.
-func (h *sweepHandle) shardProgress() *ShardProgress {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.res != nil {
-		return &ShardProgress{
-			Total:     h.res.Shards,
-			Done:      h.res.Done,
-			Resumed:   h.res.Resumed,
-			Evaluated: h.res.Evaluated,
-		}
+	ji.Shards = &ShardProgress{Total: s.status.ShardsTotal, Done: s.status.ShardsDone, Evaluated: s.status.Evaluated}
+	if !isEnded {
+		return
 	}
-	return &ShardProgress{
-		Total:     h.status.ShardsTotal,
-		Done:      h.status.ShardsDone,
-		Evaluated: h.status.Evaluated,
+	if s.res != nil {
+		ji.Shards = &ShardProgress{Total: s.res.Shards, Done: s.res.Done, Resumed: s.res.Resumed, Evaluated: s.res.Evaluated}
 	}
+	ji.Sweep = s.res
+	settle(ji, s.err)
 }
 
 // storeSink persists sweep checkpoints as CAS-versioned records in the

@@ -270,3 +270,56 @@ func TestRegistrySweepResumeAfterCrash(t *testing.T) {
 		t.Fatalf("persisted best %+v differs from clean run %+v", ji3.Sweep.Best, ref.Sweep.Best)
 	}
 }
+
+// TestRegistrySweepHoldsJobSlot: a running sweep holds one of the
+// session's job slots against every kind of job. With a limit of 1
+// and a sweep running, GA and race starts are busy, and the session
+// reports one active job. Width-12 windows over the 249-SNP preset
+// keep the sweep busy for about a second, far longer than the checks;
+// the test stops it.
+func TestRegistrySweepHoldsJobSlot(t *testing.T) {
+	reg := testRegistry(t, serve.RegistryConfig{MaxJobsPerSession: 1})
+	ds, err := reg.AddDataset(serve.DatasetRequest{Format: serve.FormatPreset, Preset: 249, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := reg.CreateSession(serve.SessionRequest{DatasetID: ds.ID, ShardSize: 16, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweep, err := reg.StartJob(sess.ID, serve.JobRequest{Sweep: &serve.SweepSpec{Size: 12}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	expectBusy := func(kind string, req serve.JobRequest) {
+		t.Helper()
+		ji, err := reg.StartJob(sess.ID, req)
+		if err == nil {
+			reg.StopJob(ji.ID) // free the slot so each check stands alone
+		}
+		if !errors.Is(err, repro.ErrSessionBusy) {
+			t.Errorf("%s start beside a running sweep err = %v, want ErrSessionBusy", kind, err)
+		}
+	}
+	expectBusy("GA", serve.JobRequest{Config: testGAConfig(2)})
+	expectBusy("race", serve.JobRequest{
+		Config: testGAConfig(3),
+		Race:   &repro.RaceSpec{Lanes: []repro.RaceLaneSpec{{Optimizer: "ga"}}},
+	})
+	si, err := reg.Session(sess.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if si.ActiveJobs != 1 {
+		t.Errorf("ActiveJobs = %d, want 1", si.ActiveJobs)
+	}
+	// The sweep must still have been running for the checks above to
+	// mean anything: stopping it now yields a cancellation.
+	stopped, err := reg.StopJob(sweep.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stopped.State != serve.JobCanceled {
+		t.Fatalf("sweep finished before the checks ended (state %q); it must outlast them", stopped.State)
+	}
+}
